@@ -7,6 +7,11 @@
 //	dinero -l1-size 32k -l1-bsize 32 -l1-assoc 1 trace.out
 //	gltrace -w trans3-cont | dinero -l1-assoc 64 -l1-repl rr -plot -
 //
+// The trace streams through the simulator batch by batch in constant
+// memory; -shards N instead splits an indexed .glb over N workers whose
+// merged reports equal a serial run with a cache flush at each shard
+// boundary.
+//
 // Multi-configuration mode evaluates several geometries in one pass over
 // the trace (decode, translation and symbol resolution are shared); with
 // -sample-sets/-sample-interval the pass is approximate and prints scaled
@@ -17,6 +22,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -46,8 +52,7 @@ func main() {
 	sampleSets := fs.Int("sample-sets", 0, "approximate: simulate every Nth cache set, scale stats (power of two, 0/1 = exact)")
 	sampleInterval := fs.Int("sample-interval", 0, "approximate: simulate every Kth window of records, scale stats (0/1 = exact)")
 	sampleWindow := fs.Int("sample-window", 0, "records per -sample-interval window (0 = default)")
-	stream := fs.Bool("stream", false, "stream the trace batch-by-batch in constant memory instead of materializing it")
-	shards := fs.Int("shards", 0, "sharded streaming over a binary .glb file: N workers simulate disjoint block ranges and merge (0 = off, -1 = one per CPU; implies -stream semantics)")
+	shards := fs.Int("shards", 0, "sharded streaming over a binary .glb file: N workers simulate disjoint block ranges and merge (0 = off, -1 = one per CPU)")
 	phys := fs.String("phys", "off", "physical indexing: off | seq | shuffled (4 KiB pages)")
 	physSeed := fs.Uint64("phys-seed", 0, "seed for the shuffled frame permutation")
 	tf := cliutil.NewTraceFlags(fs, "dinero")
@@ -87,77 +92,53 @@ func main() {
 		opts.L2 = &cfg2
 	}
 	sampling := dinero.Sampling{SetFactor: *sampleSets, Interval: *sampleInterval, Window: *sampleWindow}
-	if len(cfgSpecs) > 0 || *configsFile != "" || !sampling.Exact() {
-		if *shards != 0 && !sampling.Exact() {
-			obs.Fatal(fmt.Errorf("-shards needs exact sampling (interval state spans the whole stream)"))
-		}
-		runMulti(fs.Arg(0), opts, cfgSpecs, *configsFile, sampling, tf,
-			*plot || *csv != "" || *gnuplot != "", *stream, *shards)
-		return
+	multi := len(cfgSpecs) > 0 || *configsFile != "" || !sampling.Exact()
+	if multi && (*plot || *csv != "" || *gnuplot != "") {
+		obs.Fatal(fmt.Errorf("-plot/-csv/-gnuplot need a single exact config"))
 	}
-	var sim *dinero.Simulator
+	if *shards != 0 && !sampling.Exact() {
+		obs.Fatal(fmt.Errorf("-shards needs exact sampling (interval state spans the whole stream)"))
+	}
+	mopts := dinero.MultiOptions{
+		Configs:   []cache.Config{opts.L1},
+		L2:        opts.L2,
+		Translate: opts.Translate,
+		Sampling:  sampling,
+	}
+	if multi {
+		mopts.Configs = loadConfigs(opts.L1, cfgSpecs, *configsFile)
+	}
+
+	var p *analysis.Plot
+	const title = "per-set cache behaviour"
 	switch {
 	case *shards != 0:
-		// SIGINT/SIGTERM cancel the shard context: every worker stops at
-		// its next record batch instead of the process dying mid-merge.
-		ctx, stop := signal.NotifyContext(obs.Ctx, os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		sp, _ := obs.Reg.StartSpanCtx(ctx, "dinero/simulate-sharded")
-		tr, err := trace.OpenIndexed(fs.Arg(0))
+		ms := simulateSharded(fs.Arg(0), mopts, *shards, tf)
+		if multi {
+			printMultiReports(ms, sampling)
+			break
+		}
+		fmt.Print(ms.Report(0))
+		p = analysis.FromMulti(title, ms, 0, *noSym)
+	case !multi:
+		sim, err := dinero.New(opts)
 		if err != nil {
 			obs.Fatal(err)
 		}
-		res, err := dinero.SimulateShardedContext(ctx, tr, opts, *shards, tf.Options())
-		if err != nil {
-			tr.Close()
-			obs.Fatal(err)
-		}
-		sim = res.Sim
-		cliutil.PublishIndexedDecode(tr, sim.Records())
-		if err := tr.Close(); err != nil {
-			obs.Fatal(err)
-		}
-		sp.End()
-		res.PublishShardTelemetry(obs.Reg)
-	case *stream:
-		sim, err = dinero.New(opts)
-		if err != nil {
-			obs.Fatal(err)
-		}
-		sp, sctx := obs.Reg.StartSpanCtx(obs.Ctx, "dinero/simulate-stream")
-		ts, err := cliutil.OpenTraceSourceCtx(sctx, fs.Arg(0), tf.Options())
-		if err != nil {
-			obs.Fatal(err)
-		}
-		serr := sim.ProcessSourceCtx(sctx, ts)
-		cerr := ts.Close()
-		sp.End()
-		if serr != nil {
-			obs.Fatal(serr)
-		}
-		if cerr != nil {
-			obs.Fatal(cerr)
-		}
+		streamTrace(fs.Arg(0), tf, sim.ProcessSourceCtx)
 		sim.PublishTelemetry(obs.Reg)
+		fmt.Print(sim.Report())
+		p = analysis.FromSimulator(title, sim, *noSym)
 	default:
-		sim, err = dinero.New(opts)
+		ms, err := dinero.NewMulti(mopts)
 		if err != nil {
 			obs.Fatal(err)
 		}
-		sp, _ := obs.Reg.StartSpanCtx(obs.Ctx, "dinero/load")
-		_, _, recs, err := cliutil.LoadTraceOpts(fs.Arg(0), tf.Options())
-		sp.End()
-		if err != nil {
-			obs.Fatal(err)
-		}
-		sp, _ = obs.Reg.StartSpanCtx(obs.Ctx, "dinero/simulate")
-		sim.Process(recs)
-		sp.End()
-		sim.PublishTelemetry(obs.Reg)
+		streamTrace(fs.Arg(0), tf, ms.ProcessSourceCtx)
+		ms.PublishTelemetry(obs.Reg)
+		printMultiReports(ms, sampling)
 	}
-	fmt.Print(sim.Report())
 
-	p := analysis.FromSimulator("per-set cache behaviour", sim, *noSym)
 	if *plot {
 		fmt.Println()
 		fmt.Print(p.ASCII(40))
@@ -181,103 +162,75 @@ func main() {
 // every error path can flush profiles and the metrics manifest.
 var obs *cliutil.Obs
 
-// runMulti is the single-pass multi-configuration mode: the trace is
-// decoded, translated and symbol-resolved once, and every config (the -l1
-// flags as base, overridden per -config/-configs spec) simulates from that
-// shared stream. Reports print back-to-back in config order and are
-// byte-identical to independent runs when sampling is exact. With -shards
-// the pass runs sharded over a .glb block index on the full-attribution
-// merged engine; reports then equal a serial run with Flush at each shard
-// boundary.
-func runMulti(path string, opts dinero.Options, specs []string, specFile string, sampling dinero.Sampling, tf *cliutil.TraceFlags, wantsPlot, stream bool, shards int) {
-	if wantsPlot {
-		obs.Fatal(fmt.Errorf("-plot/-csv/-gnuplot need a single exact config"))
-	}
+// loadConfigs builds the multi-configuration list: the -l1 flags as base,
+// overridden per -configs line and then per -config spec. With neither
+// (sampling-only mode) the base config runs alone.
+func loadConfigs(base cache.Config, specs []string, specFile string) []cache.Config {
 	cfgs := []cache.Config{}
 	if specFile != "" {
-		fromFile, err := cliutil.LoadConfigSpecs(specFile, opts.L1)
+		fromFile, err := cliutil.LoadConfigSpecs(specFile, base)
 		if err != nil {
 			obs.Fatal(err)
 		}
 		cfgs = fromFile
 	}
 	for _, spec := range specs {
-		cfg, err := cliutil.ParseConfigSpec(opts.L1, spec)
+		cfg, err := cliutil.ParseConfigSpec(base, spec)
 		if err != nil {
 			obs.Fatal(err)
 		}
 		cfgs = append(cfgs, cfg)
 	}
 	if len(cfgs) == 0 {
-		cfgs = append(cfgs, opts.L1) // sampling-only mode: base config alone
+		cfgs = append(cfgs, base)
 	}
-	if shards != 0 {
-		// SIGINT/SIGTERM cancel the shard context, as in the single-config
-		// sharded path.
-		ctx, stop := signal.NotifyContext(obs.Ctx, os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		sp, _ := obs.Reg.StartSpanCtx(ctx, "dinero/multisim-sharded")
-		tr, err := trace.OpenIndexed(path)
-		if err != nil {
-			obs.Fatal(err)
-		}
-		res, err := dinero.MultiSimShardedContext(ctx, tr, dinero.MultiOptions{
-			Configs:   cfgs,
-			L2:        opts.L2,
-			Translate: opts.Translate,
-		}, shards, tf.Options())
-		if err != nil {
-			tr.Close()
-			obs.Fatal(err)
-		}
-		cliutil.PublishIndexedDecode(tr, res.Sim.Records())
-		if err := tr.Close(); err != nil {
-			obs.Fatal(err)
-		}
-		sp.End()
-		res.PublishShardTelemetry(obs.Reg)
-		printMultiReports(res.Sim, sampling)
-		obs.Close()
-		return
-	}
-	ms, err := dinero.NewMulti(dinero.MultiOptions{
-		Configs:   cfgs,
-		L2:        opts.L2,
-		Translate: opts.Translate,
-		Sampling:  sampling,
-	})
+	return cfgs
+}
+
+// streamTrace drives one streaming pass over path: records flow batch by
+// batch from the decoder into process, in constant memory.
+func streamTrace(path string, tf *cliutil.TraceFlags, process func(context.Context, trace.RecordSource) error) {
+	sp, sctx := obs.Reg.StartSpanCtx(obs.Ctx, "dinero/simulate-stream")
+	ts, err := cliutil.OpenTraceSourceCtx(sctx, path, tf.Options())
 	if err != nil {
 		obs.Fatal(err)
 	}
-	if stream {
-		sp, sctx := obs.Reg.StartSpanCtx(obs.Ctx, "dinero/simulate-stream")
-		ts, err := cliutil.OpenTraceSourceCtx(sctx, path, tf.Options())
-		if err != nil {
-			obs.Fatal(err)
-		}
-		serr := ms.ProcessSourceCtx(sctx, ts)
-		cerr := ts.Close()
-		sp.End()
-		if serr != nil {
-			obs.Fatal(serr)
-		}
-		if cerr != nil {
-			obs.Fatal(cerr)
-		}
-	} else {
-		sp, _ := obs.Reg.StartSpanCtx(obs.Ctx, "dinero/load")
-		_, _, recs, err := cliutil.LoadTraceOpts(path, tf.Options())
-		sp.End()
-		if err != nil {
-			obs.Fatal(err)
-		}
-		sp, _ = obs.Reg.StartSpanCtx(obs.Ctx, "dinero/simulate")
-		ms.Process(recs)
-		sp.End()
+	serr := process(sctx, ts)
+	cerr := ts.Close()
+	sp.End()
+	if serr != nil {
+		obs.Fatal(serr)
 	}
-	ms.PublishTelemetry(obs.Reg)
-	printMultiReports(ms, sampling)
-	obs.Close()
+	if cerr != nil {
+		obs.Fatal(cerr)
+	}
+}
+
+// simulateSharded runs the pass sharded over a .glb block index: every
+// worker simulates a disjoint block range on a cold MultiSim and the
+// shards merge, so reports equal a serial run with Flush at each shard
+// boundary. SIGINT/SIGTERM cancel the shard context: every worker stops
+// at its next record batch instead of the process dying mid-merge.
+func simulateSharded(path string, mopts dinero.MultiOptions, shards int, tf *cliutil.TraceFlags) *dinero.MultiSim {
+	ctx, stop := signal.NotifyContext(obs.Ctx, os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	sp, _ := obs.Reg.StartSpanCtx(ctx, "dinero/simulate-sharded")
+	tr, err := trace.OpenIndexed(path)
+	if err != nil {
+		obs.Fatal(err)
+	}
+	res, err := dinero.MultiSimShardedContext(ctx, tr, mopts, shards, tf.Options())
+	if err != nil {
+		tr.Close()
+		obs.Fatal(err)
+	}
+	cliutil.PublishIndexedDecode(tr, res.Sim.Records())
+	if err := tr.Close(); err != nil {
+		obs.Fatal(err)
+	}
+	sp.End()
+	res.PublishShardTelemetry(obs.Reg)
+	return res.Sim
 }
 
 // printMultiReports prints every config's banner plus report (exact) or

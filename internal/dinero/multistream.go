@@ -1,10 +1,10 @@
-// Sharded multi-configuration simulation: the full-attribution MultiSim
-// engine split over N workers, each simulating a disjoint slice of the
-// trace on its own cold MultiSim, reduced with MultiSim.MergeFrom. Like
-// the single-config sharded path (stream.go), the merged result equals a
-// serial run with Flush at every shard boundary — byte-identical reports
-// in exact mode (ReplRandom excepted: its draw stream survives a Flush
-// but cannot survive a shard split).
+// Sharded simulation: the full-attribution MultiSim engine split over N
+// workers, each simulating a disjoint slice of the trace on its own cold
+// MultiSim, reduced with MultiSim.MergeFrom. It is the one sharded engine,
+// for one configuration as for many. The merged result equals a serial
+// run with Flush at every shard boundary — byte-identical reports in exact
+// mode (ReplRandom excepted: its draw stream survives a Flush but cannot
+// survive a shard split).
 package dinero
 
 import (
@@ -86,6 +86,25 @@ func MultiSimShardedContext(ctx context.Context, tr *trace.IndexedTrace, opts Mu
 		}
 	}
 	return reduceMultiShards(sims, requested)
+}
+
+// ctxSource threads context cancellation into a RecordSource: NextBatch
+// fails with the context's error as soon as it fires, so a shard stops
+// within one batch of cancellation.
+type ctxSource struct {
+	ctx context.Context
+	src trace.RecordSource
+}
+
+func (s *ctxSource) Header() (trace.Header, error) { return s.src.Header() }
+func (s *ctxSource) HasHeader() bool               { return s.src.HasHeader() }
+func (s *ctxSource) BadLines() int                 { return s.src.BadLines() }
+
+func (s *ctxSource) NextBatch() ([]trace.Record, error) {
+	if err := s.ctx.Err(); err != nil {
+		return nil, err
+	}
+	return s.src.NextBatch()
 }
 
 // MultiSimShardedRecords is the in-memory variant: the record slice is

@@ -426,7 +426,7 @@ func (s *Server) execute(ctx context.Context, j *job) error {
 		if err != nil {
 			return err
 		}
-		res, rerr := dinero.SimulateShardedContext(ctx, tr, dinero.Options{L1: cfg}, shards, trace.DecodeOptions{})
+		res, rerr := dinero.MultiSimShardedContext(ctx, tr, dinero.MultiOptions{Configs: []cache.Config{cfg}}, shards, trace.DecodeOptions{})
 		tr.Close()
 		if rerr != nil {
 			return rerr
@@ -435,7 +435,7 @@ func (s *Server) execute(ctx context.Context, j *job) error {
 		j.progress.Store(sim.Records())
 		j.mu.Lock()
 		j.Records = sim.Records()
-		j.Report = sim.Report()
+		j.Report = sim.Report(0)
 		j.mu.Unlock()
 		s.reg.Counter("server.records_simulated").Add(sim.Records())
 		res.PublishShardTelemetry(s.reg)

@@ -109,11 +109,10 @@ func TestThrottledServerBypassesCache(t *testing.T) {
 }
 
 // TestJobShardsReport: with -job-shards, an indexed binary upload is
-// simulated on N parallel cold shards and the report equals the sharded
-// library engine's (itself pinned byte-identical to a flush-at-boundary
-// serial run); the result still lands in the cache under the sharded
-// tier, so a duplicate is answered without re-running, and the serial
-// tier stays separate.
+// simulated on N parallel cold shards and the report equals a serial
+// Simulator that flushes its cache at every shard boundary; the result
+// still lands in the cache under the sharded tier, so a duplicate is
+// answered without re-running, and the serial tier stays separate.
 func TestJobShardsReport(t *testing.T) {
 	const shards = 4
 	_, ts, reg := newTestServer(t, func(c *Config) { c.JobShards = shards })
@@ -127,21 +126,35 @@ func TestJobShardsReport(t *testing.T) {
 	}
 	got := fetchReport(t, ts.URL, v.ID)
 
+	// The oracle flushes where the block index splits the shards.
 	tr, err := trace.NewIndexedBytes(glb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := dinero.SimulateSharded(tr, dinero.Options{L1: cache.Paper32KDirect()}, shards, trace.DecodeOptions{})
+	counts := tr.Index().Counts
+	ref, err := dinero.New(dinero.Options{L1: cache.Paper32KDirect()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := res.Sim.Report(); got != want {
-		t.Errorf("sharded job report diverges from the sharded engine:\n--- want ---\n%s\n--- got ---\n%s", want, got)
+	next := 0
+	for i, r := range tr.ShardRanges(shards) {
+		if i > 0 {
+			ref.Flush()
+		}
+		end := next
+		for _, c := range counts[r[0]:r[1]] {
+			end += int(c)
+		}
+		ref.Process(recs[next:end])
+		next = end
+	}
+	if want := ref.Report(); got != want {
+		t.Errorf("sharded job report diverges from the flush-at-boundary serial run:\n--- want ---\n%s\n--- got ---\n%s", want, got)
 	}
 	if done.Records != int64(len(recs)) {
 		t.Errorf("sharded job simulated %d records, want %d", done.Records, len(recs))
 	}
-	if reg.Counter("dinero.sharded_runs").Value() == 0 {
+	if reg.Counter("multisim.sharded_runs").Value() == 0 {
 		t.Error("sharded run telemetry missing")
 	}
 

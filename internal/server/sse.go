@@ -56,10 +56,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			lastBeat = time.Now()
 		} else if time.Since(lastBeat) >= s.cfg.Heartbeat {
 			// SSE comment line: ignored by EventSource, keeps the
-			// connection demonstrably alive.
+			// connection demonstrably alive. Counted before the write, so
+			// a client that has read the heartbeat sees it counted.
+			s.reg.Counter("server.sse_heartbeats").Inc()
 			fmt.Fprint(w, ": heartbeat\n\n")
 			fl.Flush()
-			s.reg.Counter("server.sse_heartbeats").Inc()
 			lastBeat = time.Now()
 		}
 		return v.State.terminal()

@@ -401,6 +401,75 @@ func eofish(err error) bool {
 	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
 }
 
+// frame is one parsed block frame: the record count and CRC32 from its
+// header and the payload they cover.
+type frame struct {
+	recCount int
+	crc      uint32
+	payload  []byte
+}
+
+// errBadFrame and errFrameTruncated are parseFrame's framing failures: a
+// header varint cut short or malformed, and a CRC or payload running past
+// the end of the input.
+var (
+	errBadFrame       = fmt.Errorf("bad frame: %w", io.ErrUnexpectedEOF)
+	errFrameTruncated = fmt.Errorf("truncated payload: %w", io.ErrUnexpectedEOF)
+)
+
+// parseFrame parses the block frame at the front of p and returns it with
+// the rest of p — the one frame walker over in-memory traces. Errors lack
+// the "trace: block N:" prefix, which only the caller knows (blockErr adds
+// it). On errFrameTruncated the frame still carries the header's record
+// count, so callers can tell a torn record-free block from lost records.
+func parseFrame(p []byte) (frame, []byte, error) {
+	payloadLen, n := binary.Uvarint(p)
+	if n <= 0 {
+		return frame{}, p, errBadFrame
+	}
+	p = p[n:]
+	if err := checkPayloadLen(payloadLen); err != nil {
+		return frame{}, p, err
+	}
+	recCount, n := binary.Uvarint(p)
+	if n <= 0 {
+		return frame{}, p, errBadFrame
+	}
+	p = p[n:]
+	if err := checkRecCount(recCount, payloadLen); err != nil {
+		return frame{}, p, err
+	}
+	f := frame{recCount: int(recCount)}
+	if uint64(len(p)) < 4+payloadLen {
+		return f, p, errFrameTruncated
+	}
+	f.crc = binary.LittleEndian.Uint32(p)
+	f.payload = p[4 : 4+payloadLen]
+	return f, p[4+payloadLen:], nil
+}
+
+// checkPayloadLen and checkRecCount are the frame-header limits shared by
+// parseFrame and BinaryReader.loadBlock, applied in this order as each
+// field is read.
+func checkPayloadLen(payloadLen uint64) error {
+	if payloadLen > maxBlockPayload {
+		return fmt.Errorf("payload length %d exceeds limit", payloadLen)
+	}
+	return nil
+}
+
+func checkRecCount(recCount, payloadLen uint64) error {
+	if recCount > payloadLen {
+		return fmt.Errorf("record count %d exceeds payload %d", recCount, payloadLen)
+	}
+	return nil
+}
+
+// blockErr prefixes a frame error with the 1-based block ordinal.
+func blockErr(block int, err error) error {
+	return fmt.Errorf("trace: block %d: %w", block, err)
+}
+
 // loadBlock reads and decodes the next block into rd.recs. io.EOF means a
 // clean end of stream.
 func (rd *BinaryReader) loadBlock() error {
@@ -413,15 +482,15 @@ func (rd *BinaryReader) loadBlock() error {
 			return fmt.Errorf("trace: block %d: bad frame: %w", rd.block+1, err)
 		}
 		rd.block++
-		if payloadLen > maxBlockPayload {
-			return fmt.Errorf("trace: block %d: payload length %d exceeds limit", rd.block, payloadLen)
+		if err := checkPayloadLen(payloadLen); err != nil {
+			return blockErr(rd.block, err)
 		}
 		recCount, err := binary.ReadUvarint(rd.br)
 		if err != nil {
 			return fmt.Errorf("trace: block %d: bad frame: %w", rd.block, err)
 		}
-		if recCount > payloadLen {
-			return fmt.Errorf("trace: block %d: record count %d exceeds payload %d", rd.block, recCount, payloadLen)
+		if err := checkRecCount(recCount, payloadLen); err != nil {
+			return blockErr(rd.block, err)
 		}
 		var crcBuf [4]byte
 		if _, err := io.ReadFull(rd.br, crcBuf[:]); err != nil {

@@ -114,48 +114,27 @@ func NewIndexedBytes(data []byte) (*IndexedTrace, error) {
 // scanIndex builds the index by walking the frames, skipping record-free
 // blocks (auxiliary payloads carry no records to shard over).
 func (t *IndexedTrace) scanIndex(p []byte, off int64) error {
-	ord := 0
-	for len(p) > 0 {
-		ord++
-		start := off
-		payloadLen, n := binary.Uvarint(p)
-		if n <= 0 {
-			return fmt.Errorf("trace: block %d: bad frame: %w", ord, io.ErrUnexpectedEOF)
-		}
-		p = p[n:]
-		off += int64(n)
-		if payloadLen > maxBlockPayload {
-			return fmt.Errorf("trace: block %d: payload length %d exceeds limit", ord, payloadLen)
-		}
-		recCount, n := binary.Uvarint(p)
-		if n <= 0 {
-			return fmt.Errorf("trace: block %d: bad frame: %w", ord, io.ErrUnexpectedEOF)
-		}
-		p = p[n:]
-		off += int64(n)
-		if recCount > payloadLen {
-			return fmt.Errorf("trace: block %d: record count %d exceeds payload %d", ord, recCount, payloadLen)
-		}
-		if len(p) < 4+int(payloadLen) {
-			if recCount == 0 {
-				// A record-free auxiliary block (e.g. the block-index
-				// footer) torn off at the end of the file: every data
-				// block scanned so far is intact, so salvage them.
-				if t.footerErr == nil {
-					t.footerErr = fmt.Errorf("trace: block %d: truncated record-free block: %w", ord, io.ErrUnexpectedEOF)
-				}
-				return nil
+	for ord := 1; len(p) > 0; ord++ {
+		f, rest, err := parseFrame(p)
+		if err == errFrameTruncated && f.recCount == 0 {
+			// A record-free auxiliary block (e.g. the block-index footer)
+			// torn off at the end of the file: every data block scanned so
+			// far is intact, so salvage them.
+			if t.footerErr == nil {
+				t.footerErr = blockErr(ord, fmt.Errorf("truncated record-free block: %w", io.ErrUnexpectedEOF))
 			}
-			return fmt.Errorf("trace: block %d: truncated payload: %w", ord, io.ErrUnexpectedEOF)
+			return nil
 		}
-		p = p[4+payloadLen:]
-		off += 4 + int64(payloadLen)
-		if recCount == 0 {
-			continue
+		if err != nil {
+			return blockErr(ord, err)
 		}
-		t.index.Offsets = append(t.index.Offsets, start)
-		t.index.Counts = append(t.index.Counts, int64(recCount))
-		t.index.Records += int64(recCount)
+		if f.recCount > 0 {
+			t.index.Offsets = append(t.index.Offsets, off)
+			t.index.Counts = append(t.index.Counts, int64(f.recCount))
+			t.index.Records += int64(f.recCount)
+		}
+		off += int64(len(p) - len(rest))
+		p = rest
 	}
 	return nil
 }
@@ -234,11 +213,11 @@ func (t *IndexedTrace) Source(lo, hi int, opts DecodeOptions) RecordSource {
 func (t *IndexedTrace) BlockChecksums() ([]uint32, error) {
 	sums := make([]uint32, 0, t.NumBlocks())
 	for i := 0; i < t.NumBlocks(); i++ {
-		framed, _, err := t.frameAt(i)
+		f, err := t.frameAt(i)
 		if err != nil {
 			return nil, err
 		}
-		sums = append(sums, binary.LittleEndian.Uint32(framed[:4]))
+		sums = append(sums, f.crc)
 	}
 	return sums, nil
 }
@@ -315,12 +294,12 @@ func (s *blockRangeSource) NextBatch() ([]Record, error) {
 	for s.cur < s.hi {
 		i := s.cur
 		s.cur++
-		payload, recCount, err := s.t.frameAt(i)
+		f, err := s.t.frameAt(i)
 		if err != nil {
 			s.err = err
 			return nil, err
 		}
-		if derr := s.checkAndDecode(payload, recCount); derr != nil {
+		if derr := s.checkAndDecode(f); derr != nil {
 			if ok, lerr := s.badBlock(i, derr); ok {
 				continue
 			} else {
@@ -337,48 +316,29 @@ func (s *blockRangeSource) NextBatch() ([]Record, error) {
 	return nil, io.EOF
 }
 
-// checkAndDecode CRC-checks a payload (whose expected CRC the frame
-// carries just before it) and decodes it into s.recs.
-func (s *blockRangeSource) checkAndDecode(framed []byte, recCount int) error {
-	crc := binary.LittleEndian.Uint32(framed[:4])
-	payload := framed[4:]
-	if crc32.ChecksumIEEE(payload) != crc {
+// checkAndDecode CRC-checks a frame's payload and decodes it into s.recs.
+func (s *blockRangeSource) checkAndDecode(f frame) error {
+	if crc32.ChecksumIEEE(f.payload) != f.crc {
 		return ErrBlockChecksum
 	}
-	recs, err := s.dec.decode(payload, recCount, s.recs[:0])
+	recs, err := s.dec.decode(f.payload, f.recCount, s.recs[:0])
 	s.recs = recs
 	return err
 }
 
-// frameAt parses the frame of data block i and returns its crc+payload
-// bytes (crc in the first 4 bytes) and record count.
-func (t *IndexedTrace) frameAt(i int) ([]byte, int, error) {
+// frameAt parses the frame of data block i, checking its record count
+// against the index.
+func (t *IndexedTrace) frameAt(i int) (frame, error) {
 	off := t.index.Offsets[i]
 	if off < 0 || off >= int64(len(t.data)) {
-		return nil, 0, fmt.Errorf("trace: block %d: index offset %d out of range", i+1, off)
+		return frame{}, fmt.Errorf("trace: block %d: index offset %d out of range", i+1, off)
 	}
-	p := t.data[off:]
-	payloadLen, n := binary.Uvarint(p)
-	if n <= 0 {
-		return nil, 0, fmt.Errorf("trace: block %d: bad frame: %w", i+1, io.ErrUnexpectedEOF)
+	f, _, err := parseFrame(t.data[off:])
+	if err != nil {
+		return frame{}, blockErr(i+1, err)
 	}
-	p = p[n:]
-	if payloadLen > maxBlockPayload {
-		return nil, 0, fmt.Errorf("trace: block %d: payload length %d exceeds limit", i+1, payloadLen)
+	if int64(f.recCount) != t.index.Counts[i] {
+		return frame{}, fmt.Errorf("trace: block %d: frame says %d records, index says %d", i+1, f.recCount, t.index.Counts[i])
 	}
-	recCount, n := binary.Uvarint(p)
-	if n <= 0 {
-		return nil, 0, fmt.Errorf("trace: block %d: bad frame: %w", i+1, io.ErrUnexpectedEOF)
-	}
-	p = p[n:]
-	if recCount > payloadLen {
-		return nil, 0, fmt.Errorf("trace: block %d: record count %d exceeds payload %d", i+1, recCount, payloadLen)
-	}
-	if int64(recCount) != t.index.Counts[i] {
-		return nil, 0, fmt.Errorf("trace: block %d: frame says %d records, index says %d", i+1, recCount, t.index.Counts[i])
-	}
-	if len(p) < 4+int(payloadLen) {
-		return nil, 0, fmt.Errorf("trace: block %d: truncated payload: %w", i+1, io.ErrUnexpectedEOF)
-	}
-	return p[:4+payloadLen], int(recCount), nil
+	return f, nil
 }

@@ -22,7 +22,6 @@ package trace
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -73,14 +72,11 @@ func serialDecode(data []byte, opts DecodeOptions) (Header, bool, []Record, erro
 
 // ---- binary ----
 
-// binaryBlock is one framed block located by the serial frame walk.
+// binaryBlock is one framed block located by the serial frame walk. A
+// record-free block (auxiliary payload such as the block-index footer) is
+// CRC-checked but never decoded.
 type binaryBlock struct {
-	payload  []byte
-	recCount int
-	crc      uint32
-	// aux marks a record-free block (auxiliary payload such as the
-	// block-index footer): CRC-checked but never decoded.
-	aux bool
+	frame
 	// decode results
 	recs []Record
 	err  error
@@ -100,35 +96,11 @@ func decodeBinaryBytes(data []byte, opts DecodeOptions, workers int) (Header, bo
 
 	var blocks []binaryBlock
 	for len(p) > 0 {
-		payloadLen, n := binary.Uvarint(p)
-		if n <= 0 {
+		var f frame
+		if f, p, err = parseFrame(p); err != nil {
 			return serialDecode(data, opts)
 		}
-		p = p[n:]
-		if payloadLen > maxBlockPayload {
-			return serialDecode(data, opts)
-		}
-		recCount, n := binary.Uvarint(p)
-		if n <= 0 {
-			return serialDecode(data, opts)
-		}
-		p = p[n:]
-		if recCount > payloadLen {
-			return serialDecode(data, opts)
-		}
-		if len(p) < 4+int(payloadLen) {
-			return serialDecode(data, opts)
-		}
-		crc := binary.LittleEndian.Uint32(p)
-		p = p[4:]
-		if recCount == 0 {
-			// Auxiliary record-free block (e.g. the block-index footer):
-			// CRC-check it in order like the serial reader, decode nothing.
-			blocks = append(blocks, binaryBlock{payload: p[:payloadLen], recCount: 0, crc: crc, aux: true})
-		} else {
-			blocks = append(blocks, binaryBlock{payload: p[:payloadLen], recCount: int(recCount), crc: crc})
-		}
-		p = p[payloadLen:]
+		blocks = append(blocks, binaryBlock{frame: f})
 	}
 
 	// The frame walk fixed every block's record count, so each block can
@@ -169,7 +141,7 @@ func decodeBinaryBytes(data []byte, opts DecodeOptions, workers int) (Header, bo
 					b.err = ErrBlockChecksum
 					continue
 				}
-				if b.aux {
+				if b.recCount == 0 {
 					continue
 				}
 				out := big[offs[i] : offs[i] : offs[i]+b.recCount]
@@ -183,7 +155,7 @@ func decodeBinaryBytes(data []byte, opts DecodeOptions, workers int) (Header, bo
 	bad := 0
 	for i := range blocks {
 		b := &blocks[i]
-		if b.aux {
+		if b.recCount == 0 {
 			// Auxiliary record-free blocks lose no records when damaged;
 			// the serial reader records the damage out of band and keeps
 			// going, so a CRC failure here is not a decode error either.

@@ -1,10 +1,10 @@
 // Benchmarks for the sharded multi-configuration engine and the
 // simulation result cache. BenchmarkShardedMultiSim runs the identical
-// full-attribution multi-config workload at 1/2/4/8 shards inside each
-// iteration, so every shard count sees the same scheduler and GC phase;
-// each count's wall time comes out as its own metric and CI holds the
-// 4-shard speedup with tools/benchguard (skipped on single-CPU hosts,
-// where no speedup is possible). Run with:
+// full-attribution workload, all golden configs and one config alone, at
+// 1/2/4/8 shards inside each iteration, so every shard count sees the
+// same scheduler and GC phase; each count's wall time comes out as its
+// own metric and CI holds the 4-shard speedup with tools/benchguard
+// (skipped on single-CPU hosts, where no speedup is possible). Run with:
 //
 //	go test . -run xxx -bench ShardedMultiSim -benchtime 10x
 //	go test . -run xxx -bench SimCacheHitVsMiss -benchtime 20x
@@ -24,9 +24,11 @@ import (
 
 // BenchmarkShardedMultiSim: the 1/2/4/8-shard scaling curve of
 // full-attribution MultiSimSharded over the indexed matmul trace, every
-// golden config at once. shards1_ns/op is the single-goroutine baseline;
-// CI requires shards4_ns/op to be at least 1.8× faster on multi-core
-// runners.
+// golden config at once (shardsN_ns/op) and the rr-32k-64w config alone
+// (oneconfig_shardsN_ns/op, the single-config `dinero -shards` and
+// `tracedstd -job-shards` path). shards1_ns/op is the single-goroutine
+// baseline; CI requires shards4_ns/op to be at least 1.8× faster on
+// multi-core runners.
 func BenchmarkShardedMultiSim(b *testing.B) {
 	f := loadCodec(b)
 	data := encodeIndexedTrace(b, f.recs, 0)
@@ -34,29 +36,41 @@ func BenchmarkShardedMultiSim(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	sets := []struct {
+		prefix string
+		cfgs   []cache.Config
+	}{{"", goldenConfigs}, {"oneconfig_", goldenConfigs[2:3]}}
 	counts := []int{1, 2, 4, 8}
-	ns := make([]time.Duration, len(counts))
-	b.SetBytes(int64(len(data)) * int64(len(counts)))
+	ns := make([][]time.Duration, len(sets))
+	for si := range sets {
+		ns[si] = make([]time.Duration, len(counts))
+	}
+	runs := int64(len(sets) * len(counts))
+	b.SetBytes(int64(len(data)) * runs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for ci, shards := range counts {
-			t0 := time.Now()
-			res, err := dinero.MultiSimSharded(tr, dinero.MultiOptions{Configs: goldenConfigs}, shards, trace.DecodeOptions{})
-			if err != nil {
-				b.Fatal(err)
+		for si, set := range sets {
+			for ci, shards := range counts {
+				t0 := time.Now()
+				res, err := dinero.MultiSimSharded(tr, dinero.MultiOptions{Configs: set.cfgs}, shards, trace.DecodeOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Sim.Records() != int64(len(f.recs)) {
+					b.Fatalf("%d shards simulated %d records, want %d", shards, res.Sim.Records(), len(f.recs))
+				}
+				ns[si][ci] += time.Since(t0)
 			}
-			if res.Sim.Records() != int64(len(f.recs)) {
-				b.Fatalf("%d shards simulated %d records, want %d", shards, res.Sim.Records(), len(f.recs))
-			}
-			ns[ci] += time.Since(t0)
 		}
 	}
 	b.StopTimer()
-	for ci, shards := range counts {
-		b.ReportMetric(float64(ns[ci])/float64(b.N), fmt.Sprintf("shards%d_ns/op", shards))
+	for si, set := range sets {
+		for ci, shards := range counts {
+			b.ReportMetric(float64(ns[si][ci])/float64(b.N), fmt.Sprintf("%sshards%d_ns/op", set.prefix, shards))
+		}
 	}
-	b.ReportMetric(float64(len(f.recs))*float64(len(counts))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+	b.ReportMetric(float64(len(f.recs))*float64(runs)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }
 
 // BenchmarkSimCacheHitVsMiss prices the result cache: the miss path is a

@@ -89,7 +89,7 @@ func TestCLIMetricsLossless(t *testing.T) {
 	if m.Counters["dinero.sims"] != 1 {
 		t.Errorf("dinero.sims = %d, want 1", m.Counters["dinero.sims"])
 	}
-	for _, span := range []string{"dinero/load", "dinero/simulate"} {
+	for _, span := range []string{"trace.decode.stream", "dinero.simulate"} {
 		if m.Spans[span].Count != 1 {
 			t.Errorf("span %q count = %d, want 1", span, m.Spans[span].Count)
 		}
@@ -246,7 +246,7 @@ func TestCLITraceExport(t *testing.T) {
 	traceFile := filepath.Join(dir, "t.out")
 	spansFile := filepath.Join(dir, "spans.jsonl")
 	runTool(t, "gltrace", "-w", "trans1-soa", "-o", traceFile)
-	runTool(t, "dinero", "-stream", "-trace-out", spansFile, traceFile)
+	runTool(t, "dinero", "-trace-out", spansFile, traceFile)
 
 	type spanEvent struct {
 		Trace   string            `json:"trace"`

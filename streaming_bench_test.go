@@ -68,51 +68,3 @@ func BenchmarkStreamingSimulate(b *testing.B) {
 	b.ReportMetric(float64(strNS)/float64(b.N), "streaming_ns/op")
 	b.ReportMetric(2*float64(len(f.recs))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }
-
-// BenchmarkShardedSimulate measures the indexed sharded path end to end
-// (footer lookup, per-shard block-range decode, simulate, merge) against
-// the same serial streaming run. On a single-CPU host the two are
-// expected to tie; on multi-core hosts the shards decode and simulate
-// concurrently.
-func BenchmarkShardedSimulate(b *testing.B) {
-	f := loadCodec(b)
-	data := encodeIndexedTrace(b, f.recs, 0)
-	tr, err := trace.NewIndexedBytes(data)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := goldenConfigs[2]
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	var serialNS, shardNS time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		src, _, err := trace.OpenSource(bytes.NewReader(data), trace.DecodeOptions{}, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sim, err := dinero.New(dinero.Options{L1: cfg})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := sim.ProcessSource(src); err != nil {
-			b.Fatal(err)
-		}
-		serialNS += time.Since(t0)
-
-		t0 = time.Now()
-		res, err := dinero.SimulateSharded(tr, dinero.Options{L1: cfg}, 4, trace.DecodeOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Sim.Records() != int64(len(f.recs)) {
-			b.Fatalf("sharded run simulated %d records, want %d", res.Sim.Records(), len(f.recs))
-		}
-		shardNS += time.Since(t0)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(serialNS)/float64(b.N), "serial_ns/op")
-	b.ReportMetric(float64(shardNS)/float64(b.N), "sharded4_ns/op")
-	b.ReportMetric(2*float64(len(f.recs))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
-}

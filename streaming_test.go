@@ -17,6 +17,8 @@ import (
 	"runtime"
 	"testing"
 
+	"tracedst/internal/analysis"
+	"tracedst/internal/cache"
 	"tracedst/internal/cliutil"
 	"tracedst/internal/dinero"
 	"tracedst/internal/trace"
@@ -90,12 +92,20 @@ func TestStreamingGoldenAllWorkloads(t *testing.T) {
 	}
 }
 
-// TestShardedStreamingGoldenAllWorkloads: K-way sharded streaming over an
-// indexed trace, reduced with MergeFrom, equals — byte-for-byte in the
-// rendered report — a serial run that flushes the cache at the shard
-// boundaries. All 15 workloads, every golden config (none use ReplRandom,
-// whose draw stream cannot survive a shard split).
+// TestShardedStreamingGoldenAllWorkloads: K-way sharded streaming of one
+// config over an indexed trace, reduced with MergeFrom, equals — byte for
+// byte in the rendered report — a serial Simulator that flushes the cache
+// at the shard boundaries. All 15 workloads, every golden config plus one
+// two-level config (none use ReplRandom, whose draw stream cannot survive
+// a shard split).
 func TestShardedStreamingGoldenAllWorkloads(t *testing.T) {
+	l2 := cache.Config{Name: "l2-64k-8w", Size: 65536, BlockSize: 64, Assoc: 8, Repl: cache.ReplLRU}
+	opts := make([]dinero.Options, 0, len(goldenConfigs)+1)
+	for _, cfg := range goldenConfigs {
+		opts = append(opts, dinero.Options{L1: cfg})
+	}
+	opts = append(opts, dinero.Options{L1: goldenConfigs[0], L2: &l2})
+
 	for _, name := range sortedWorkloads() {
 		recs := traceWorkload(t, name)
 		data := encodeIndexedTrace(t, recs, 256)
@@ -107,13 +117,13 @@ func TestShardedStreamingGoldenAllWorkloads(t *testing.T) {
 			t.Fatalf("%s: index says %d records, want %d", name, tr.Records(), len(recs))
 		}
 		for _, shards := range []int{2, 4} {
-			for _, cfg := range goldenConfigs {
-				res, err := dinero.SimulateSharded(tr, dinero.Options{L1: cfg}, shards, trace.DecodeOptions{})
+			for _, o := range opts {
+				res, err := dinero.MultiSimSharded(tr, dinero.MultiOptions{Configs: []cache.Config{o.L1}, L2: o.L2}, shards, trace.DecodeOptions{})
 				if err != nil {
-					t.Fatalf("%s/%s/shards=%d: %v", name, cfg.Name, shards, err)
+					t.Fatalf("%s/%s/shards=%d: %v", name, o.L1.Name, shards, err)
 				}
 
-				ref, err := dinero.New(dinero.Options{L1: cfg})
+				ref, err := dinero.New(o)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -125,9 +135,9 @@ func TestShardedStreamingGoldenAllWorkloads(t *testing.T) {
 				}
 				ref.Process(recs[next:])
 
-				if got, want := res.Sim.Report(), ref.Report(); got != want {
-					t.Errorf("%s/%s/shards=%d: sharded report diverges from flush-at-boundary serial:\n--- want ---\n%s\n--- got ---\n%s",
-						name, cfg.Name, shards, want, got)
+				if got, want := res.Sim.Report(0), ref.Report(); got != want {
+					t.Errorf("%s/%s/l2=%v/shards=%d: sharded report diverges from flush-at-boundary serial:\n--- want ---\n%s\n--- got ---\n%s",
+						name, o.L1.Name, o.L2 != nil, shards, want, got)
 				}
 			}
 		}
@@ -144,24 +154,90 @@ func TestShardedSimulateCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	opts := dinero.MultiOptions{Configs: goldenConfigs[:1]}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = dinero.SimulateShardedContext(ctx, tr, dinero.Options{L1: goldenConfigs[0]}, 2, trace.DecodeOptions{})
+	_, err = dinero.MultiSimShardedContext(ctx, tr, opts, 2, trace.DecodeOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 
 	// An uncancelled context changes nothing about the result.
-	res, err := dinero.SimulateShardedContext(context.Background(), tr, dinero.Options{L1: goldenConfigs[0]}, 2, trace.DecodeOptions{})
+	res, err := dinero.MultiSimShardedContext(context.Background(), tr, opts, 2, trace.DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := dinero.SimulateSharded(tr, dinero.Options{L1: goldenConfigs[0]}, 2, trace.DecodeOptions{})
+	plain, err := dinero.MultiSimSharded(tr, opts, 2, trace.DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Sim.Report() != plain.Sim.Report() {
+	if res.Sim.Report(0) != plain.Sim.Report(0) {
 		t.Fatal("context-threaded sharded run diverges from plain run")
+	}
+}
+
+// TestCLIShardedSingleConfig: `dinero -shards 2` with one config prints
+// the report, ASCII plot, CSV and gnuplot series of a serial Simulator
+// that flushes its cache where the block index splits the shards,
+// rendered through analysis.FromSimulator.
+func TestCLIShardedSingleConfig(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test")
+	}
+	const shards = 2
+	recs := traceWorkload(t, "trans3-cont")
+	data := encodeIndexedTrace(t, recs, 256)
+	dir := t.TempDir()
+	glb := filepath.Join(dir, "t.glb")
+	if err := os.WriteFile(glb, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	csvFile := filepath.Join(dir, "sets.csv")
+	datFile := filepath.Join(dir, "sets.dat")
+	got := runTool(t, "dinero", "-l1-size", "4k", "-shards", fmt.Sprint(shards),
+		"-plot", "-csv", csvFile, "-gnuplot", datFile, glb)
+
+	tr, err := trace.NewIndexedBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := dinero.New(dinero.Options{L1: cache.Config{Name: "l1", Size: 4096, BlockSize: 32, Assoc: 1, Repl: cache.ReplLRU}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranges := tr.ShardRanges(shards)
+	if len(ranges) != shards {
+		t.Fatalf("trace splits into %d shards, want %d", len(ranges), shards)
+	}
+	counts := tr.Index().Counts
+	next := 0
+	for i, r := range ranges {
+		if i > 0 {
+			ref.Flush()
+		}
+		end := next
+		for _, c := range counts[r[0]:r[1]] {
+			end += int(c)
+		}
+		ref.Process(recs[next:end])
+		next = end
+	}
+	if next != len(recs) {
+		t.Fatalf("shard ranges cover %d records, want %d", next, len(recs))
+	}
+	p := analysis.FromSimulator("per-set cache behaviour", ref, false)
+	want := ref.Report() + "\n" + p.ASCII(40) + "\n" + p.Summary()
+	if got != want {
+		t.Errorf("stdout diverges from the flush-at-boundary serial run:\n--- want ---\n%s\n--- got ---\n%s", want, got)
+	}
+	for _, f := range []struct{ path, want string }{{csvFile, p.CSV()}, {datFile, p.GnuplotData()}} {
+		b, err := os.ReadFile(f.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(b) != f.want {
+			t.Errorf("%s diverges from the flush-at-boundary serial run:\n--- want ---\n%s\n--- got ---\n%s", filepath.Base(f.path), f.want, b)
+		}
 	}
 }
 
