@@ -8,9 +8,12 @@ import (
 	"bytes"
 	"io"
 	"strings"
+	"sync"
 	"testing"
 
 	"tracedst/internal/trace"
+	"tracedst/internal/tracer"
+	"tracedst/internal/workloads"
 )
 
 // codecFixture renders the shared matmul trace (load(b).big) once per
@@ -64,6 +67,59 @@ func BenchmarkDecodeText(b *testing.B) {
 		}
 	}
 	reportRecords(b, len(f.recs))
+}
+
+// soaText is the paper's T1 original (structure of arrays) at LEN 2000 as
+// Gleipnir text: its subscripts (lSoA.mX[i], i < 2000) never repeat often,
+// so a decoder caching per spelling would miss on about a quarter of the
+// records.
+var soaText struct {
+	once sync.Once
+	text string
+	recs int
+}
+
+func loadSoAText(b *testing.B) (string, int) {
+	b.Helper()
+	soaText.once.Do(func() {
+		res, err := tracer.Run(workloads.Trans1SoA, map[string]string{"LEN": "2000"}, tracer.Options{})
+		if err != nil {
+			panic(err)
+		}
+		soaText.text = trace.Format(res.Header, res.Records)
+		soaText.recs = len(res.Records)
+	})
+	return soaText.text, soaText.recs
+}
+
+// BenchmarkDecodeTextUnboundedSubscripts streams the T1 trace through
+// OpenSource/NextBatch, the path dsxform and dinero read text with.
+func BenchmarkDecodeTextUnboundedSubscripts(b *testing.B) {
+	text, n := loadSoAText(b)
+	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src, _, err := trace.OpenSource(strings.NewReader(text), trace.DecodeOptions{}, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		got := 0
+		for {
+			batch, err := src.NextBatch()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			got += len(batch)
+		}
+		if got != n {
+			b.Fatalf("decoded %d records, want %d", got, n)
+		}
+	}
+	reportRecords(b, n)
 }
 
 func BenchmarkEncodeText(b *testing.B) {

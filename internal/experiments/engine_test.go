@@ -7,8 +7,32 @@ import (
 
 	"tracedst/internal/cache"
 	"tracedst/internal/dinero"
+	"tracedst/internal/telemetry"
 	"tracedst/internal/trace"
 )
+
+// missesAt is the per-config engine: one full Simulator per (size, side)
+// simulation. The sweeps run on sweepMisses, which evaluates all sizes in
+// one pass; missesAt is its reference here and the baseline
+// BenchmarkSweepEngines gates it against (BENCH_multisim.json). It
+// simulates recs in chunks, polling ctx between chunks, and publishes its
+// counters to the default registry like the sweeps do.
+func missesAt(ctx context.Context, recs []trace.Record, cfg cache.Config) (int64, error) {
+	sim, err := dinero.New(dinero.Options{L1: cfg, Syms: sharedSyms})
+	if err != nil {
+		return 0, err
+	}
+	for start := 0; start < len(recs); start += simChunk {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+		sim.Process(recs[start:min(start+simChunk, len(recs))])
+	}
+	reg := telemetry.Default()
+	reg.Counter("experiments.records_in").Add(int64(len(recs)))
+	sim.PublishTelemetry(reg)
+	return sim.L1().Stats().Misses(), nil
+}
 
 // sweepSides loads every (spec, side) of the standard sweeps with its
 // record slice and per-size configs — the unit both engines consume.

@@ -75,42 +75,13 @@ var DefaultSweepSizes = []int64{256, 512, 1024, 2048, 4096, 8192, 16384, 32768}
 // profile.
 const simChunk = 1 << 16
 
-// missesAt is the per-config engine: one full Simulator per (size, side)
-// simulation. The sweeps no longer run on it — sweepMisses evaluates all
-// sizes in one pass — but it remains the reference and the benchmark
-// baseline the single-pass engine is gated against (BENCH_multisim.json).
-// It simulates recs in chunks, polling ctx between chunks so a
-// per-task deadline or a cancelled run stops mid-simulation instead of
-// after it. Completed simulations publish their counters (records in and
-// simulated, outcomes, page allocations) to the default registry — after
-// the hot loop, so the per-access path stays allocation-free.
-func missesAt(ctx context.Context, recs []trace.Record, cfg cache.Config) (int64, error) {
-	sim, err := dinero.New(dinero.Options{L1: cfg, Syms: sharedSyms})
-	if err != nil {
-		return 0, err
-	}
-	for start := 0; start < len(recs); start += simChunk {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		end := start + simChunk
-		if end > len(recs) {
-			end = len(recs)
-		}
-		sim.Process(recs[start:end])
-	}
-	reg := telemetry.Default()
-	reg.Counter("experiments.records_in").Add(int64(len(recs)))
-	sim.PublishTelemetry(reg)
-	return sim.L1().Stats().Misses(), nil
-}
-
 // sweepMisses is the single-pass engine: every cache size of a sweep side
 // evaluated in one traversal of the record slice via dinero.MultiSim in
 // stats-only mode (the sweep consumes miss totals; attribution would be
-// pure overhead). Exact-mode results are identical to missesAt per config;
-// with sampling the returned misses are scaled estimates. Chunked like
-// missesAt so cancellation interrupts mid-trace.
+// pure overhead). Exact-mode results are identical to one Simulator per
+// config (the test oracle missesAt); with sampling the returned misses are
+// scaled estimates. It simulates in simChunk chunks, polling ctx between
+// them, so a per-task deadline or a cancelled run stops mid-trace.
 func sweepMisses(ctx context.Context, recs []trace.Record, cfgs []cache.Config, sm dinero.Sampling) ([]int64, error) {
 	ms, err := dinero.NewMulti(dinero.MultiOptions{
 		Configs: cfgs, Syms: sharedSyms, Sampling: sm, StatsOnly: true,

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net/url"
 	"testing"
 	"time"
@@ -94,6 +95,37 @@ func TestDuplicateUploadCached(t *testing.T) {
 // TestThrottledServerBypassesCache: Throttle exists to hold jobs in
 // flight (drain testing); answering from the cache would defeat it, so
 // duplicates re-run.
+// TestCorruptReuploadNotCached: a re-upload of a cached indexed .glb with
+// one payload byte flipped — its frames still claim the clean trace's
+// CRC32s — is not answered from the cache with the clean trace's report;
+// it misses and fails validation like any corrupt trace.
+func TestCorruptReuploadNotCached(t *testing.T) {
+	_, ts, reg := newTestServer(t, nil)
+	glb := encodeIndexedGLB(t, workloadRecords(600), 64)
+	v := submit(t, ts.URL, "?wait=1", glb)
+	waitState(t, ts.URL, v.ID, StateDone)
+
+	tr, err := trace.NewIndexedBytes(glb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Frame of the second block: payload length, record count, CRC32,
+	// then the payload; flip a byte in the middle of it.
+	off := tr.Index().Offsets[1]
+	plen, n := binary.Uvarint(glb[off:])
+	_, m := binary.Uvarint(glb[int(off)+n:])
+	bad := append([]byte(nil), glb...)
+	bad[int(off)+n+m+4+int(plen)/2] ^= 0x01
+
+	v2 := submit(t, ts.URL, "?wait=1", bad)
+	if v2.Cached || v2.State != StateFailed {
+		t.Fatalf("corrupt re-upload ended %s (cached %v), want failed and uncached", v2.State, v2.Cached)
+	}
+	if got := reg.Counter("simcache.hits").Value(); got != 0 {
+		t.Errorf("simcache.hits = %d, want 0", got)
+	}
+}
+
 func TestThrottledServerBypassesCache(t *testing.T) {
 	_, ts, reg := newTestServer(t, func(c *Config) { c.Throttle = time.Millisecond })
 	glb := encodeGLB(t, workloadRecords(300), 64)

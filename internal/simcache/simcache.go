@@ -181,11 +181,12 @@ func HashText(src string) string {
 	return "txt:" + hex.EncodeToString(sum[:])
 }
 
-// HashFile content-hashes a trace file. Indexed .glb traces fold the
-// stored per-block CRC32s plus preamble and record count — no payload is
-// decoded and no record is walked; anything else (text traces, binary
-// traces without a parseable index) streams the raw bytes through
-// SHA-256.
+// HashFile content-hashes a trace file. Indexed .glb traces hash the
+// preamble, record count and every block's payload bytes, verifying each
+// block's CRC32 as they go — no payload is decoded and no record is
+// walked; anything else (text traces, binary traces without a parseable
+// index, indexed traces with a damaged block) streams the raw bytes
+// through SHA-256.
 func HashFile(path string) (string, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -223,28 +224,31 @@ func hashIndexedFile(path string) (string, error) {
 	if !tr.HasFooter() || tr.FooterErr() != nil {
 		// A damaged or missing footer changes the job's validation
 		// diagnostics without touching block payloads, so distinct damage
-		// variants could collide under the CRC fold. Hash the raw bytes
-		// instead — only clean indexed traces take the cheap path.
+		// variants could collide under the payload hash. Hash the raw
+		// bytes instead — only clean indexed traces take the block path.
 		return "", fmt.Errorf("simcache: %s: no healthy block index", path)
 	}
 	return HashIndexed(tr)
 }
 
-// HashIndexed hashes an already-open indexed trace by folding its block
-// checksums (see HashFile).
+// HashIndexed hashes an already-open indexed trace: its preamble and
+// record count, then every data block's record count and payload bytes,
+// each payload checked against its stored CRC32 on the way (see HashFile).
+// A block that fails its check is an error, never a key.
 func HashIndexed(tr *trace.IndexedTrace) (string, error) {
-	sums, err := tr.BlockChecksums()
-	if err != nil {
-		return "", err
-	}
 	hdr, _ := tr.Header()
 	h := sha256.New()
 	fmt.Fprintf(h, "glb hdr=%t pid=%d blocks=%d records=%d\x00",
-		tr.HasHeader(), hdr.PID, len(sums), tr.Records())
-	var word [4]byte
-	for _, c := range sums {
-		binary.LittleEndian.PutUint32(word[:], c)
+		tr.HasHeader(), hdr.PID, tr.NumBlocks(), tr.Records())
+	var word [16]byte
+	err := tr.VerifiedBlocks(func(recCount int, payload []byte) {
+		binary.LittleEndian.PutUint64(word[:8], uint64(recCount))
+		binary.LittleEndian.PutUint64(word[8:], uint64(len(payload)))
 		h.Write(word[:])
+		h.Write(payload)
+	})
+	if err != nil {
+		return "", fmt.Errorf("simcache: %w", err)
 	}
 	return "glb:" + hex.EncodeToString(h.Sum(nil)), nil
 }

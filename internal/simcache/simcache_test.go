@@ -1,6 +1,7 @@
 package simcache
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -187,7 +188,69 @@ type bytesBuffer struct{ b []byte }
 
 func (w *bytesBuffer) Write(p []byte) (int, error) { w.b = append(w.b, p...); return len(p), nil }
 
-// TestHashFileTiers: clean indexed .glb files take the cheap CRC-fold
+// TestHashIndexedBindsPayload: the glb: key covers the payload bytes, not
+// the CRC32s the frames claim. Flipping any one payload byte of an indexed
+// .glb (its stored CRC left as it was, so the frames still claim the clean
+// trace's checksums) never yields the clean trace's key: HashIndexed fails
+// on the block's CRC check, HashFile falls back to hashing raw bytes, and
+// a store holding the clean trace's entry misses.
+func TestHashIndexedBindsPayload(t *testing.T) {
+	glb := encodeBinary(t, testRecords(500), true)
+	clean, err := HashFile(writeTraceFile(t, "clean.glb", glb))
+	if err != nil || !strings.HasPrefix(clean, "glb:") {
+		t.Fatalf("clean trace hashed %q (err %v), want a glb: key", clean, err)
+	}
+	s, _ := testStore(t)
+	key := Key{Trace: clean, Config: ConfigSig(cache.Paper32KDirect()), Engine: EngineVersion}
+	if err := s.Put(key, Entry{Report: "clean report", Records: 500}); err != nil {
+		t.Fatal(err)
+	}
+
+	tr, err := trace.NewIndexedBytes(glb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flips := 0
+	for i, off := range tr.Index().Offsets {
+		// Frame: payload length, record count (uvarints), CRC32, payload.
+		p := glb[off:]
+		plen, n := binary.Uvarint(p)
+		_, m := binary.Uvarint(p[n:])
+		start := int(off) + n + m + 4
+		for j := start; j < start+int(plen); j++ {
+			bad := append([]byte(nil), glb...)
+			bad[j] ^= 0x01
+			btr, err := trace.NewIndexedBytes(bad)
+			if err != nil {
+				t.Fatalf("block %d byte %d: open: %v", i+1, j-start, err)
+			}
+			if h, err := HashIndexed(btr); err == nil {
+				t.Fatalf("block %d byte %d flipped: HashIndexed = %q, want a checksum error", i+1, j-start, h)
+			}
+			flips++
+			if j != start && j != start+int(plen)/2 {
+				continue
+			}
+			h, err := HashFile(writeTraceFile(t, "bad.glb", bad))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h == clean || !strings.HasPrefix(h, "raw:") {
+				t.Errorf("block %d byte %d flipped: HashFile = %q, want a raw: key (clean %q)", i+1, j-start, h, clean)
+			}
+			k := key
+			k.Trace = h
+			if e, ok, err := s.Get(k); ok || err != nil {
+				t.Errorf("block %d byte %d flipped: store returned %+v (ok %v, err %v), want a miss", i+1, j-start, e, ok, err)
+			}
+		}
+	}
+	if flips == 0 {
+		t.Fatal("no payload bytes found to flip")
+	}
+}
+
+// TestHashFileTiers: clean indexed .glb files take the cheap payload-hash
 // path; unindexed binaries, damaged footers and text traces hash raw
 // bytes — and equal content hashes equal either way.
 func TestHashFileTiers(t *testing.T) {

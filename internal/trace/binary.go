@@ -26,6 +26,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"tracedst/internal/ctype"
 )
 
 // DefaultBlockRecords is how many records a BinaryWriter packs per block by
@@ -555,7 +557,41 @@ func (rd *BinaryReader) decodeBlock(p []byte, recCount int) error {
 // parallel decoder and the block-decoding half of BinaryReader.
 type blockDecoder struct {
 	intern *Interner
-	strs   []string
+	strs   []blockString
+}
+
+// blockString is one entry of a block's string table: its bytes (aliasing
+// the payload) and, once a record has used it, the function name or access
+// expression it resolves to. Each entry is resolved at most once per block
+// in each role, so records naming the same variable within a block share
+// its Path.
+type blockString struct {
+	raw         []byte
+	fn          string
+	v           ctype.AccessExpr
+	hasFn, hasV bool
+}
+
+// funcName resolves entry i as a function name.
+func (d *blockDecoder) funcName(i uint64) string {
+	e := &d.strs[i]
+	if !e.hasFn {
+		e.fn, e.hasFn = d.intern.name(e.raw), true
+	}
+	return e.fn
+}
+
+// access resolves entry i as an access expression.
+func (d *blockDecoder) access(i uint64) (ctype.AccessExpr, error) {
+	e := &d.strs[i]
+	if !e.hasV {
+		v, err := d.intern.access(e.raw)
+		if err != nil {
+			return v, err
+		}
+		e.v, e.hasV = v, true
+	}
+	return e.v, nil
 }
 
 // decode appends the payload's records to recs and returns the extended
@@ -572,7 +608,7 @@ func (d *blockDecoder) decode(p []byte, recCount int, recs []Record) ([]Record, 
 		if n <= 0 || slen > uint64(len(p)-n) {
 			return recs, fmt.Errorf("bad string table entry %d", i)
 		}
-		d.strs = append(d.strs, d.intern.internFuncString(string(p[n:n+int(slen)])))
+		d.strs = append(d.strs, blockString{raw: p[n : n+int(slen)]})
 		p = p[n+int(slen):]
 	}
 	var prevAddr uint64
@@ -602,7 +638,7 @@ func (d *blockDecoder) decode(p []byte, recCount int, recs []Record) ([]Record, 
 			return recs, fmt.Errorf("bad function index in record %d", i)
 		}
 		p = p[n:]
-		r.Func = d.strs[fidx]
+		r.Func = d.funcName(fidx)
 		if tag&tagHasSym != 0 {
 			r.HasSym = true
 			r.Vis = Global
@@ -626,7 +662,7 @@ func (d *blockDecoder) decode(p []byte, recCount int, recs []Record) ([]Record, 
 				return recs, fmt.Errorf("bad variable index in record %d", i)
 			}
 			p = p[n:]
-			v, err := d.intern.internVarString(d.strs[vidx])
+			v, err := d.access(vidx)
 			if err != nil {
 				return recs, fmt.Errorf("bad variable in record %d: %v", i, err)
 			}

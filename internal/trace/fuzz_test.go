@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -38,6 +39,51 @@ func FuzzParseRecord(f *testing.F) {
 		}
 		if !again.Equal(&rec) {
 			t.Fatalf("round trip changed record: %q -> %q -> %q", line, rec.String(), again.String())
+		}
+	})
+}
+
+// FuzzInternerParity is the differential fuzzer for the interning parser:
+// lines fed one after another through one reused Interner must parse to
+// the record a fresh ParseRecordBytes returns — Equal, with the same Var
+// down to the Path — or fail with the same error text. Every record is
+// checked again after the last line, so a path the slab handed out twice
+// or overwrote shows up too.
+func FuzzInternerParity(f *testing.F) {
+	f.Add("S 000601040 4 main GV glScalar\nL 7ff0001b0 8 main\nS 7feffa760 4 main LS 0 1 lSoA.mX[12]")
+	f.Add("S 0006010e0 8 foo GS glStructArray[0].myArray[3]\nS 0006010e0 8 foo GS glStructArray[0].myArray[3]")
+	f.Add("S 0 4 f GS a[+1]\nS 0 4 f GS a[-1]\nS 0 4 f GS a[99999999999999999999]\nS 0 4 f GS a[0000000000000000001]")
+	f.Add("S 0 4 f GS a[999999999999999999]\nS 0 4 f GS a[9223372036854775807]\nS 0 4 f GS a[9223372036854775808]")
+	f.Add("S 0 4 f GS a.b]c\nS 0 4 f GS a[1]b\nS 0 4 f GS a..b\nS 0 4 f GS a.\nS 0 4 f GS a[\nS 0 4 f GS x]y\nS 0 4 f GS [0]")
+	f.Add("S 0 4 f GS a[]\nS 0 4 f GS a[1][2].c[3]\nS 0 4 f GS a[1]]\nS 0 4 f GS a[ 1]\nS 0 4 f GS a[0x1]")
+	f.Add("S\t000601040 4  main\vGV glScalar \nM 7ff0001b8 4 main LV 0 1 i\r\n L 1 2 f GV g\x00")
+	f.Add("S 7ff0001b0 8 main_with_a_very_long_function_name LS 2 3 lcStrcArray[1].myArray[9].deeper[12345]")
+	f.Fuzz(func(t *testing.T, src string) {
+		in := NewInterner()
+		type parsed struct {
+			line string
+			rec  Record
+		}
+		var kept []parsed
+		for _, line := range strings.Split(src, "\n") {
+			got, gerr := in.ParseRecord([]byte(line))
+			want, werr := ParseRecordBytes([]byte(line))
+			if (gerr == nil) != (werr == nil) || gerr != nil && gerr.Error() != werr.Error() {
+				t.Fatalf("on %q: Interner err %v, ParseRecordBytes err %v", line, gerr, werr)
+			}
+			if gerr != nil {
+				continue
+			}
+			if !got.Equal(&want) || !reflect.DeepEqual(got.Var, want.Var) {
+				t.Fatalf("on %q: Interner %q %#v, ParseRecordBytes %q %#v", line, got.String(), got.Var, want.String(), want.Var)
+			}
+			kept = append(kept, parsed{line, got})
+		}
+		for _, k := range kept {
+			want, _ := ParseRecordBytes([]byte(k.line))
+			if !reflect.DeepEqual(k.rec.Var, want.Var) {
+				t.Fatalf("record for %q changed after later lines: %#v", k.line, k.rec.Var)
+			}
 		}
 	})
 }

@@ -206,20 +206,25 @@ func (t *IndexedTrace) Source(lo, hi int, opts DecodeOptions) RecordSource {
 	}
 }
 
-// BlockChecksums returns the stored CRC32 (IEEE) of every data block, in
-// block order, read straight from the frame headers without decoding any
-// payload. Together with the preamble and record count they identify the
-// trace's content — the cheap content hash simcache keys .glb files by.
-func (t *IndexedTrace) BlockChecksums() ([]uint32, error) {
-	sums := make([]uint32, 0, t.NumBlocks())
+// VerifiedBlocks calls fn with every data block's record count and
+// payload, in block order, after checking the payload against the CRC32
+// its frame stores. It stops at the first block that fails the check and
+// returns ErrBlockChecksum wrapped with the block's ordinal. The payload
+// aliases the mapping and is valid only during the call. Together with the
+// preamble it identifies the trace's content — what simcache keys .glb
+// files by, so the key binds the bytes, not the checksums a frame claims.
+func (t *IndexedTrace) VerifiedBlocks(fn func(recCount int, payload []byte)) error {
 	for i := 0; i < t.NumBlocks(); i++ {
 		f, err := t.frameAt(i)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		sums = append(sums, f.crc)
+		if crc32.ChecksumIEEE(f.payload) != f.crc {
+			return blockErr(i+1, ErrBlockChecksum)
+		}
+		fn(f.recCount, f.payload)
 	}
-	return sums, nil
+	return nil
 }
 
 // ShardRanges splits the data blocks into up to n contiguous ranges of

@@ -58,17 +58,23 @@ func (rd *Reader) Line() int { return rd.line }
 func (rd *Reader) BadLines() int { return rd.bad }
 
 // readLine returns the next input line without its terminator, counting it
-// in rd.line. The returned slice aliases the Reader's scratch buffer and is
-// valid only until the next readLine call. It returns io.EOF at end of
-// input, a *BadLineError for a line over the length limit (whose bytes are
-// fully consumed, so the stream remains usable, and whose Text carries the
-// first oversizePrefixLen bytes), or a line-annotated I/O error.
+// in rd.line. The returned slice aliases the bufio buffer or the Reader's
+// scratch buffer and is valid only until the next readLine call. It returns
+// io.EOF at end of input, a *BadLineError for a line over the length limit
+// (whose bytes are fully consumed, so the stream remains usable, and whose
+// Text carries the first oversizePrefixLen bytes), or a line-annotated I/O
+// error.
 func (rd *Reader) readLine() ([]byte, error) {
 	max := rd.opts.maxLine()
+	frag, err := rd.br.ReadSlice('\n')
+	if err == nil && len(frag) <= max+1 {
+		// The whole line sits in the bufio buffer: hand it out in place.
+		rd.line++
+		return frag[:len(frag)-1], nil
+	}
 	buf := rd.buf[:0]
 	overflow := false
-	for {
-		frag, err := rd.br.ReadSlice('\n')
+	for ; ; frag, err = rd.br.ReadSlice('\n') {
 		if len(frag) > 0 {
 			switch {
 			case overflow:
@@ -194,12 +200,22 @@ func (rd *Reader) ensureHeader() error {
 
 // Read returns the next record, or io.EOF at end of stream.
 func (rd *Reader) Read() (Record, error) {
+	var rec Record
+	if err := rd.readInto(&rec); err != nil {
+		return Record{}, err
+	}
+	return rec, nil
+}
+
+// readInto parses the next record straight into *r, or returns io.EOF at
+// end of stream. *r may be overwritten even when an error is returned.
+func (rd *Reader) readInto(r *Record) error {
 	if rd.err != nil {
-		return Record{}, rd.err
+		return rd.err
 	}
 	if err := rd.ensureHeader(); err != nil {
 		rd.err = err
-		return Record{}, err
+		return err
 	}
 	for {
 		var text []byte
@@ -211,7 +227,7 @@ func (rd *Reader) Read() (Record, error) {
 			text, err = rd.readLine()
 			if err == io.EOF {
 				rd.err = io.EOF
-				return Record{}, rd.err
+				return rd.err
 			}
 			if err != nil {
 				if ble, ok := err.(*BadLineError); ok {
@@ -219,38 +235,38 @@ func (rd *Reader) Read() (Record, error) {
 						continue
 					} else {
 						rd.err = lerr
-						return Record{}, rd.err
+						return rd.err
 					}
 				}
 				rd.err = err
-				return Record{}, rd.err
+				return rd.err
 			}
 			text = bytes.TrimSpace(text)
 			if len(text) == 0 {
 				continue
 			}
 		}
-		rec, perr := rd.intern.ParseRecord(text)
-		if perr != nil {
+		if perr := parseRecordInto(r, text, rd.intern); perr != nil {
 			ble := &BadLineError{Line: rd.line, Text: string(text), Err: perr}
 			if ok, lerr := rd.skipBad(ble); ok {
 				continue
 			} else {
 				rd.err = lerr
-				return Record{}, rd.err
+				return rd.err
 			}
 		}
-		return rec, nil
+		return nil
 	}
 }
 
 // ReadBatch fills dst with up to len(dst) records and returns how many were
 // read. It returns io.EOF only when no records were read and the stream is
-// exhausted, so callers can loop until (0, io.EOF).
+// exhausted, so callers can loop until (0, io.EOF). Records are parsed in
+// place; dst[n] may be overwritten even when no record is returned in it.
 func (rd *Reader) ReadBatch(dst []Record) (int, error) {
 	n := 0
 	for n < len(dst) {
-		rec, err := rd.Read()
+		err := rd.readInto(&dst[n])
 		if err == io.EOF {
 			if n > 0 {
 				return n, nil
@@ -260,7 +276,6 @@ func (rd *Reader) ReadBatch(dst []Record) (int, error) {
 		if err != nil {
 			return n, err
 		}
-		dst[n] = rec
 		n++
 	}
 	return n, nil
@@ -270,14 +285,15 @@ func (rd *Reader) ReadBatch(dst []Record) (int, error) {
 func (rd *Reader) ReadAll() ([]Record, error) {
 	var recs []Record
 	for {
-		rec, err := rd.Read()
-		if err == io.EOF {
-			return recs, nil
-		}
+		recs = append(recs, Record{})
+		err := rd.readInto(&recs[len(recs)-1])
 		if err != nil {
+			recs = recs[:len(recs)-1]
+			if err == io.EOF {
+				return recs, nil
+			}
 			return recs, err
 		}
-		recs = append(recs, rec)
 	}
 }
 

@@ -293,8 +293,8 @@ func decodeTextBytes(data []byte, opts DecodeOptions, workers int) (Header, bool
 	return h, hasHdr, recs, nil
 }
 
-// parseChunk parses a newline-aligned slice of record lines with its own
-// interner, failing fast on the first malformed or oversize line.
+// parseChunk parses a newline-aligned slice of record lines in place with
+// its own interner, failing fast on the first malformed or oversize line.
 func parseChunk(chunk []byte, maxLine int) ([]Record, error) {
 	in := NewInterner()
 	var recs []Record
@@ -313,11 +313,10 @@ func parseChunk(chunk []byte, maxLine int) ([]Record, error) {
 		if len(line) == 0 {
 			continue
 		}
-		rec, err := in.ParseRecord(line)
-		if err != nil {
+		recs = append(recs, Record{})
+		if err := parseRecordInto(&recs[len(recs)-1], line, in); err != nil {
 			return nil, errChunkBad
 		}
-		recs = append(recs, rec)
 	}
 	return recs, nil
 }

@@ -135,7 +135,7 @@ func (r *Record) IsRead() bool { return r.Op == Load || r.Op == Modify }
 // ParseHeader) and malformed lines. It is a convenience wrapper around
 // ParseRecordBytes, which is the canonical grammar.
 func ParseRecord(line string) (Record, error) {
-	return parseRecordBytes([]byte(line), nil)
+	return ParseRecordBytes([]byte(line))
 }
 
 // Header is the trace-file preamble.

@@ -1,8 +1,9 @@
-// Zero-allocation text codec: the byte-level record parser and renderer
+// Allocation-lean text codec: the byte-level record parser and renderer
 // behind Reader and Writer. ParseRecordBytes is the canonical grammar for a
-// trace line (ParseRecord delegates to it); an Interner adds per-stream
-// string caches so that steady-state decoding of a trace with a bounded
-// symbol population performs no per-record allocations at all.
+// trace line (ParseRecord delegates to it); an Interner adds a per-stream
+// name table and path slab so that steady-state decoding allocates only
+// slab chunks, far fewer than one per record, even when no access path
+// ever repeats.
 package trace
 
 import (
@@ -16,7 +17,9 @@ import (
 // the grammar ParseRecord documents and allocates only the record's own
 // strings (Func, Var); use an Interner to amortize those across a stream.
 func ParseRecordBytes(line []byte) (Record, error) {
-	return parseRecordBytes(line, nil)
+	var r Record
+	err := parseRecordInto(&r, line, nil)
+	return r, err
 }
 
 // AppendText appends the record, formatted exactly as Gleipnir writes it
@@ -67,91 +70,140 @@ func appendHex9(dst []byte, addr uint64) []byte {
 	return append(dst, tmp[i:]...)
 }
 
-// maxInternedStrings caps each intern table so a pathological trace with an
-// unbounded symbol population degrades to plain allocation instead of
+// maxInternedNames caps the name table so a pathological trace with an
+// unbounded name population degrades to plain allocation instead of
 // holding every distinct string alive.
-const maxInternedStrings = 1 << 20
+const maxInternedNames = 1 << 20
 
-// Interner caches the strings a trace decoder produces — function names and
-// variable access expressions — so that decoding a stream with a bounded
-// symbol population settles at zero allocations per record. Cached access
-// expressions share their parsed Path across records; records from an
-// interning decoder must therefore be treated as read-only (which every
-// consumer in this repository already does — transformations build fresh
-// paths). An Interner is not safe for concurrent use; give each decoding
-// goroutine its own.
+// Path slab chunk sizes, in elements: the first chunk is small so short
+// traces stay light, later ones double up to the cap.
+const (
+	minPathChunk = 64
+	maxPathChunk = 4096
+)
+
+// Interner resolves the strings and access paths a trace decoder produces
+// without a per-spelling cache. Names — function names, variable roots and
+// field names — come from a bounded name table keyed by their bytes, so a
+// name seen before costs a lookup and no allocation. Access paths are
+// parsed from the spelling's bytes on every use and stored in a chunked
+// path slab: each path is a 3-index slice of the current chunk, so the
+// slab's allocations amortize to nothing per record however many distinct
+// subscripts a trace carries (paper traces rarely repeat one).
+//
+// Paths handed out share chunks with neighbouring records' paths and,
+// within one .glb block, with every record naming the same string-table
+// entry. Records from an Interner must therefore be treated as read-only
+// (which every consumer in this repository already does — transformations
+// build fresh paths); appending to a Var.Path copies, because its capacity
+// ends at its length. An Interner is not safe for concurrent use; give
+// each decoding goroutine its own.
 type Interner struct {
-	funcs map[string]string
-	vars  map[string]ctype.AccessExpr
+	names map[string]string
+	slab  []ctype.PathElem // unused tail of the current path chunk
+	chunk int              // size of the last chunk allocated
 }
 
-// NewInterner returns an empty intern table set.
+// NewInterner returns an empty name table and path slab.
 func NewInterner() *Interner {
-	return &Interner{
-		funcs: make(map[string]string),
-		vars:  make(map[string]ctype.AccessExpr),
-	}
+	return &Interner{names: make(map[string]string)}
 }
 
-// ParseRecord parses one trace line, interning Func and Var through the
-// table. The line bytes are not retained.
+// ParseRecord parses one trace line, resolving Func and Var through the
+// table and the slab. The line bytes are not retained.
 func (in *Interner) ParseRecord(line []byte) (Record, error) {
-	return parseRecordBytes(line, in)
+	var r Record
+	err := parseRecordInto(&r, line, in)
+	return r, err
 }
 
-// internFunc returns the cached string for b, adding it on first sight.
-func (in *Interner) internFunc(b []byte) string {
-	if s, ok := in.funcs[string(b)]; ok {
+// name returns the table's string for b, adding it on first sight. The
+// lookup by string(b) does not allocate.
+func (in *Interner) name(b []byte) string {
+	if s, ok := in.names[string(b)]; ok {
 		return s
 	}
 	s := string(b)
-	if len(in.funcs) < maxInternedStrings {
-		in.funcs[s] = s
+	if len(in.names) < maxInternedNames {
+		in.names[s] = s
 	}
 	return s
 }
 
-// internFuncString is internFunc for callers that already hold a string
-// (the binary decoder's block string tables).
-func (in *Interner) internFuncString(s string) string {
-	if c, ok := in.funcs[s]; ok {
-		return c
+// access resolves the access expression spelled by b. It parses the
+// canonical spellings — a root followed by [digits] subscripts of at most
+// 18 digits and .field selections — straight from the bytes into the path
+// slab; every other spelling, including every malformed one, goes through
+// ctype.ParseAccess, which stays the one grammar (signs, overflow and the
+// error texts are its own).
+func (in *Interner) access(b []byte) (ctype.AccessExpr, error) {
+	i := 0
+	for i < len(b) && b[i] != '.' && b[i] != '[' && b[i] != ']' {
+		i++
 	}
-	if len(in.funcs) < maxInternedStrings {
-		in.funcs[s] = s
+	if i == 0 || i < len(b) && b[i] == ']' {
+		return ctype.ParseAccess(string(b))
 	}
-	return s
+	if i == len(b) {
+		return ctype.AccessExpr{Root: in.name(b)}, nil
+	}
+	rootEnd := i
+	// Every element spends at least two bytes ('.' plus a name byte, or
+	// '[', a digit and ']'), which bounds the slab space the path needs.
+	if need := (len(b) - i + 1) / 2; cap(in.slab) < need {
+		in.grow(need)
+	}
+	slab := in.slab[:cap(in.slab)]
+	k := 0
+	for i < len(b) {
+		if b[i] == '.' {
+			i++
+			j := i
+			for j < len(b) && b[j] != '.' && b[j] != '[' {
+				j++
+			}
+			if j == i {
+				return ctype.ParseAccess(string(b))
+			}
+			slab[k] = ctype.PathElem{Field: in.name(b[i:j])}
+			k++
+			i = j
+			continue
+		}
+		if b[i] != '[' {
+			return ctype.ParseAccess(string(b))
+		}
+		j := i + 1
+		var idx int64
+		for j < len(b) && j-i <= 18 && b[j] >= '0' && b[j] <= '9' {
+			idx = idx*10 + int64(b[j]-'0')
+			j++
+		}
+		if j == i+1 || j == len(b) || b[j] != ']' {
+			return ctype.ParseAccess(string(b))
+		}
+		slab[k] = ctype.PathElem{Index: idx}
+		k++
+		i = j + 1
+	}
+	path := slab[:k:k]
+	in.slab = slab[k:]
+	return ctype.AccessExpr{Root: in.name(b[:rootEnd]), Path: path}, nil
 }
 
-// internVar returns the cached parsed access expression for b, parsing and
-// adding it on first sight. The returned expression shares its Path with
-// every other record carrying the same spelling.
-func (in *Interner) internVar(b []byte) (ctype.AccessExpr, error) {
-	if v, ok := in.vars[string(b)]; ok {
-		return v, nil
-	}
-	return in.internVarString(string(b))
-}
-
-// internVarString is internVar for callers that already hold a string (the
-// binary decoder's block string tables).
-func (in *Interner) internVarString(s string) (ctype.AccessExpr, error) {
-	if v, ok := in.vars[s]; ok {
-		return v, nil
-	}
-	v, err := ctype.ParseAccess(s)
-	if err != nil {
-		return v, err
-	}
-	if len(in.vars) < maxInternedStrings {
-		in.vars[s] = v
-	}
-	return v, nil
+// grow starts a fresh path chunk with room for at least need elements. The
+// old chunk is left to the paths already carved from it.
+func (in *Interner) grow(need int) {
+	in.chunk = min(max(2*in.chunk, minPathChunk), maxPathChunk)
+	in.slab = make([]ctype.PathElem, max(in.chunk, need))
 }
 
 // maxRecordFields is the widest legal record: op addr size func scope frame
 // thread var. One extra slot catches trailing junk without scanning it.
 const maxRecordFields = 8
+
+// asciiSpace marks the bytes the text grammar treats as field separators.
+var asciiSpace = [256]bool{' ': true, '\t': true, '\n': true, '\r': true, '\v': true, '\f': true}
 
 // splitFields splits line on ASCII whitespace into at most len(dst) fields,
 // returning the field count, or -1 when there are more than len(dst)-1
@@ -160,7 +212,7 @@ func splitFields(line []byte, dst *[maxRecordFields + 1][]byte) int {
 	n := 0
 	i := 0
 	for {
-		for i < len(line) && isASCIISpace(line[i]) {
+		for i < len(line) && asciiSpace[line[i]] {
 			i++
 		}
 		if i == len(line) {
@@ -170,7 +222,7 @@ func splitFields(line []byte, dst *[maxRecordFields + 1][]byte) int {
 			return -1
 		}
 		j := i
-		for j < len(line) && !isASCIISpace(line[j]) {
+		for j < len(line) && !asciiSpace[line[j]] {
 			j++
 		}
 		dst[n] = line[i:j]
@@ -179,49 +231,46 @@ func splitFields(line []byte, dst *[maxRecordFields + 1][]byte) int {
 	}
 }
 
-func isASCIISpace(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\v' || c == '\f'
-}
-
-// parseRecordBytes is the shared parser; in == nil allocates fresh strings.
-func parseRecordBytes(line []byte, in *Interner) (Record, error) {
-	var r Record
+// parseRecordInto is the shared parser: it overwrites *r with the record
+// line spells. in == nil allocates fresh strings and paths.
+func parseRecordInto(r *Record, line []byte, in *Interner) error {
+	*r = Record{}
 	var fields [maxRecordFields + 1][]byte
 	nf := splitFields(line, &fields)
 	if nf < 0 {
-		return r, fmt.Errorf("trace: trailing fields in %q", line)
+		return fmt.Errorf("trace: trailing fields in %q", line)
 	}
 	if nf < 4 {
-		return r, fmt.Errorf("trace: short record %q", line)
+		return fmt.Errorf("trace: short record %q", line)
 	}
 	if len(fields[0]) != 1 {
-		return r, fmt.Errorf("trace: bad op %q in %q", fields[0], line)
+		return fmt.Errorf("trace: bad op %q in %q", fields[0], line)
 	}
 	r.Op = Op(fields[0][0])
 	if !r.Op.Valid() {
-		return r, fmt.Errorf("trace: bad op %q in %q", fields[0], line)
+		return fmt.Errorf("trace: bad op %q in %q", fields[0], line)
 	}
 	addr, ok := parseHex(fields[1])
 	if !ok {
-		return r, fmt.Errorf("trace: bad address %q in %q", fields[1], line)
+		return fmt.Errorf("trace: bad address %q in %q", fields[1], line)
 	}
 	r.Addr = addr
 	size, ok := parseInt(fields[2])
 	if !ok || size < 0 {
-		return r, fmt.Errorf("trace: bad size %q in %q", fields[2], line)
+		return fmt.Errorf("trace: bad size %q in %q", fields[2], line)
 	}
 	r.Size = size
 	if in != nil {
-		r.Func = in.internFunc(fields[3])
+		r.Func = in.name(fields[3])
 	} else {
 		r.Func = string(fields[3])
 	}
 	if nf == 4 {
-		return r, nil
+		return nil
 	}
 	scope := fields[4]
 	if len(scope) != 2 || (scope[0] != 'G' && scope[0] != 'L') || (scope[1] != 'V' && scope[1] != 'S') {
-		return r, fmt.Errorf("trace: bad scope %q in %q", scope, line)
+		return fmt.Errorf("trace: bad scope %q in %q", scope, line)
 	}
 	r.HasSym = true
 	r.Vis = Visibility(scope[0])
@@ -229,33 +278,31 @@ func parseRecordBytes(line []byte, in *Interner) (Record, error) {
 	varIdx := 5
 	if r.Vis == Local {
 		if nf != 8 {
-			return r, fmt.Errorf("trace: local record needs frame, thread, var: %q", line)
+			return fmt.Errorf("trace: local record needs frame, thread, var: %q", line)
 		}
 		frame, ok := parseInt(fields[5])
 		if !ok {
-			return r, fmt.Errorf("trace: bad frame %q in %q", fields[5], line)
+			return fmt.Errorf("trace: bad frame %q in %q", fields[5], line)
 		}
 		thread, ok := parseInt(fields[6])
 		if !ok {
-			return r, fmt.Errorf("trace: bad thread %q in %q", fields[6], line)
+			return fmt.Errorf("trace: bad thread %q in %q", fields[6], line)
 		}
 		r.Frame, r.Thread = int(frame), int(thread)
 		varIdx = 7
 	} else if nf != 6 {
-		return r, fmt.Errorf("trace: expected variable name at end of %q", line)
+		return fmt.Errorf("trace: expected variable name at end of %q", line)
 	}
-	var v ctype.AccessExpr
 	var err error
 	if in != nil {
-		v, err = in.internVar(fields[varIdx])
+		r.Var, err = in.access(fields[varIdx])
 	} else {
-		v, err = ctype.ParseAccess(string(fields[varIdx]))
+		r.Var, err = ctype.ParseAccess(string(fields[varIdx]))
 	}
 	if err != nil {
-		return r, fmt.Errorf("trace: %v in %q", err, line)
+		return fmt.Errorf("trace: %v in %q", err, line)
 	}
-	r.Var = v
-	return r, nil
+	return nil
 }
 
 // parseHex parses an unsigned hex field (no 0x prefix, no sign).
