@@ -40,7 +40,7 @@ var (
 	fix     fixtures
 )
 
-func load(b *testing.B) *fixtures {
+func load(b testing.TB) *fixtures {
 	b.Helper()
 	fixOnce.Do(func() {
 		mustTrace := func(src string, defs map[string]string) []trace.Record {

@@ -26,7 +26,7 @@ type codecFixture struct {
 
 var codecFix codecFixture
 
-func loadCodec(b *testing.B) *codecFixture {
+func loadCodec(b testing.TB) *codecFixture {
 	b.Helper()
 	f := load(b)
 	if codecFix.text == "" {
@@ -173,14 +173,16 @@ func BenchmarkEncodeBinary(b *testing.B) {
 	reportRecords(b, len(f.recs))
 }
 
-func BenchmarkDecodeParallelText(b *testing.B) {
+// BenchmarkDecodeBytesText decodes the whole in-memory text trace with
+// DecodeBytes, which sizes the result once from the newline count.
+func BenchmarkDecodeBytesText(b *testing.B) {
 	f := loadCodec(b)
 	data := []byte(f.text)
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, recs, err := trace.DecodeBytes(data, trace.DecodeOptions{}, 0)
+		_, _, recs, err := trace.DecodeBytes(data, trace.DecodeOptions{}, 1)
 		if err != nil || len(recs) != len(f.recs) {
 			b.Fatalf("decoded %d records, err %v", len(recs), err)
 		}
@@ -188,13 +190,15 @@ func BenchmarkDecodeParallelText(b *testing.B) {
 	reportRecords(b, len(f.recs))
 }
 
-func BenchmarkDecodeParallelBinary(b *testing.B) {
+// BenchmarkDecodeBytesBinary decodes the whole in-memory .glb trace with
+// DecodeBytes, which sizes the result once from the frames' record counts.
+func BenchmarkDecodeBytesBinary(b *testing.B) {
 	f := loadCodec(b)
 	b.SetBytes(int64(len(f.binary)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, recs, err := trace.DecodeBytes(f.binary, trace.DecodeOptions{}, 0)
+		_, _, recs, err := trace.DecodeBytes(f.binary, trace.DecodeOptions{}, 1)
 		if err != nil || len(recs) != len(f.recs) {
 			b.Fatalf("decoded %d records, err %v", len(recs), err)
 		}

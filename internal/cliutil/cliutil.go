@@ -229,42 +229,23 @@ func OpenTrace(path string) (io.ReadCloser, error) {
 	return os.Open(path)
 }
 
-// LoadTrace reads a trace file ("-" means stdin) with a strict decoder.
-func LoadTrace(path string) (trace.Header, []trace.Record, error) {
-	h, _, recs, err := LoadTraceOpts(path, trace.DecodeOptions{})
-	return h, recs, err
-}
-
-// LoadTraceOpts reads a trace file ("-" means stdin) with explicit decode
-// options. hasHdr reports whether the input actually began with a START
-// line, so writers can round-trip headerless traces byte-for-byte.
+// LoadTraceOpts reads a whole trace file ("-" means stdin) with explicit
+// decode options. The container format (text or binary) is sniffed from
+// the file's magic. hasHdr reports whether the input actually began with a
+// START line, so writers can round-trip headerless traces byte-for-byte.
 func LoadTraceOpts(path string, opts trace.DecodeOptions) (h trace.Header, hasHdr bool, recs []trace.Record, err error) {
-	h, hasHdr, recs, _, err = LoadTraceFormat(path, opts)
-	return h, hasHdr, recs, err
-}
-
-// LoadTraceFormat is LoadTraceOpts plus the sniffed container format, for
-// tools that mirror the input format on output. The trace format (text or
-// binary) is detected from the file's magic, and decoding fans out across
-// GOMAXPROCS workers with serial-identical results.
-func LoadTraceFormat(path string, opts trace.DecodeOptions) (h trace.Header, hasHdr bool, recs []trace.Record, format trace.FileFormat, err error) {
 	in, err := OpenTrace(path)
 	if err != nil {
-		return trace.Header{}, false, nil, trace.FormatUnknown, err
+		return trace.Header{}, false, nil, err
 	}
 	defer in.Close()
 	data, err := io.ReadAll(in)
 	if err != nil {
-		return trace.Header{}, false, nil, trace.FormatUnknown, err
+		return trace.Header{}, false, nil, err
 	}
-	format = trace.DetectFormat(data)
-	h, hasHdr, recs, err = trace.DecodeBytes(data, opts, 0)
-	reg := telemetry.Default()
-	reg.Counter("trace.decode.files").Inc()
-	reg.Counter("trace.decode.bytes").Add(int64(len(data)))
-	reg.Counter("trace.decode.records").Add(int64(len(recs)))
-	reg.Counter("trace.decode.records." + format.String()).Add(int64(len(recs)))
-	return h, hasHdr, recs, format, err
+	h, hasHdr, recs, err = trace.DecodeBytes(data, opts, 1)
+	publishDecode(trace.DetectFormat(data), int64(len(data)), int64(len(recs)))
+	return h, hasHdr, recs, err
 }
 
 // WriteTrace writes a trace file ("-" means stdout), header included.

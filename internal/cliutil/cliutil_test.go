@@ -121,7 +121,7 @@ func TestLoadWriteTraceRoundTrip(t *testing.T) {
 	if err := WriteTrace(path, h, []trace.Record{rec}); err != nil {
 		t.Fatal(err)
 	}
-	h2, recs, err := LoadTrace(path)
+	h2, _, recs, err := LoadTraceOpts(path, trace.DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestLoadWriteTraceRoundTrip(t *testing.T) {
 }
 
 func TestLoadTraceMissing(t *testing.T) {
-	if _, _, err := LoadTrace(filepath.Join(t.TempDir(), "missing.trc")); err == nil {
+	if _, _, _, err := LoadTraceOpts(filepath.Join(t.TempDir(), "missing.trc"), trace.DecodeOptions{}); err == nil {
 		t.Error("missing file accepted")
 	}
 }
@@ -334,22 +334,23 @@ func TestWriteTraceFormatBinaryRoundTrip(t *testing.T) {
 		if trace.DetectFormat(b) != trace.FormatBinary {
 			t.Fatalf("%s: not binary on disk: %q", tc.name, b[:min(len(b), 8)])
 		}
-		h2, hasHdr, recs2, format, err := LoadTraceFormat(p, trace.DecodeOptions{})
-		if err != nil || !hasHdr || h2 != h || format != trace.FormatBinary {
-			t.Fatalf("%s: load: h=%v hasHdr=%v format=%v err=%v", tc.name, h2, hasHdr, format, err)
+		h2, hasHdr, recs2, err := LoadTraceOpts(p, trace.DecodeOptions{})
+		if err != nil || !hasHdr || h2 != h {
+			t.Fatalf("%s: load: h=%v hasHdr=%v err=%v", tc.name, h2, hasHdr, err)
 		}
 		if len(recs2) != 1 || !recs2[0].Equal(&rec) {
 			t.Fatalf("%s: records changed: %+v", tc.name, recs2)
 		}
 	}
 
-	// .glb loads still report text when the payload is text.
+	// A .glb path holding text still loads: the format is sniffed, not
+	// taken from the extension.
 	p := filepath.Join(dir, "lying.glb")
 	if err := WriteTraceFormat(p, h, true, recs, trace.FormatText); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, format, err := LoadTraceFormat(p, trace.DecodeOptions{}); err != nil || format != trace.FormatText {
-		t.Fatalf("text-in-.glb: format=%v err=%v", format, err)
+	if _, _, recs2, err := LoadTraceOpts(p, trace.DecodeOptions{}); err != nil || len(recs2) != 1 || !recs2[0].Equal(&rec) {
+		t.Fatalf("text-in-.glb: records=%+v err=%v", recs2, err)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Streaming trace entry points: the constant-memory counterparts of
-// LoadTrace*/WriteTrace*. OpenTraceSource streams a trace file as record
+// LoadTraceOpts/WriteTrace*. OpenTraceSource streams a trace file as record
 // batches (O(batch) live heap however large the file), StreamTrace drives
 // a callback over them, and WriteTraceStream writes a trace incrementally
 // behind the same atomic-rename and telemetry guarantees as the
@@ -31,9 +31,8 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 
 // TraceStream is an open trace file being streamed as record batches. It
 // implements trace.RecordSource; Close releases the file and publishes the
-// decode telemetry (files, bytes, records by format) that the
-// materializing loaders publish per call, so streaming and slurping runs
-// report identically.
+// decode telemetry (files, bytes, records by format) that LoadTraceOpts
+// publishes per call, so streaming and slurping runs report identically.
 type TraceStream struct {
 	src     trace.RecordSource
 	in      io.ReadCloser
@@ -111,12 +110,8 @@ func (ts *TraceStream) Close() error {
 		return nil
 	}
 	ts.closed = true
-	reg := telemetry.Default()
-	reg.Counter("trace.decode.files").Inc()
-	reg.Counter("trace.decode.bytes").Add(ts.cr.n)
-	reg.Counter("trace.decode.records").Add(ts.records)
-	reg.Counter("trace.decode.records." + ts.format.String()).Add(ts.records)
-	reg.Counter("trace.stream.batches").Add(ts.batches)
+	publishDecode(ts.format, ts.cr.n, ts.records)
+	telemetry.Default().Counter("trace.stream.batches").Add(ts.batches)
 	if ts.span != nil {
 		ts.span.SetAttr("records", strconv.FormatInt(ts.records, 10))
 		ts.span.SetAttr("bytes", strconv.FormatInt(ts.cr.n, 10))
@@ -131,11 +126,18 @@ func (ts *TraceStream) Close() error {
 // same decode telemetry as the reader-based paths. records is how many
 // records the pass actually decoded.
 func PublishIndexedDecode(tr *trace.IndexedTrace, records int64) {
+	publishDecode(trace.FormatBinary, tr.Bytes(), records)
+}
+
+// publishDecode publishes one decoded file's trace.decode counters: the
+// file, its bytes, and its records in total and under its format, so the
+// per-format counters always sum to the total.
+func publishDecode(format trace.FileFormat, bytes, records int64) {
 	reg := telemetry.Default()
 	reg.Counter("trace.decode.files").Inc()
-	reg.Counter("trace.decode.bytes").Add(tr.Bytes())
+	reg.Counter("trace.decode.bytes").Add(bytes)
 	reg.Counter("trace.decode.records").Add(records)
-	reg.Counter("trace.decode.records.binary").Add(records)
+	reg.Counter("trace.decode.records." + format.String()).Add(records)
 }
 
 // StreamInfo summarizes a finished StreamTrace pass.

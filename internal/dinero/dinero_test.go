@@ -141,7 +141,10 @@ func TestProcessReaderAndReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := sim(t, Options{L1: cache.Paper32KDirect()})
-	s.Process(res.Records)
+	rd := trace.NewReader(strings.NewReader(trace.Format(res.Header, res.Records)))
+	if err := s.ProcessSource(trace.NewSource(rd, 0)); err != nil {
+		t.Fatal(err)
+	}
 
 	rep := s.Report()
 	for _, want := range []string{"lSoA", "lI", "main", "Per-variable", "Per-function", "Demand Fetches"} {
@@ -180,7 +183,7 @@ S 000601040 4 main GV g
 L 000601040 4 main GV g
 `
 	s := sim(t, Options{L1: cache.Paper32KDirect()})
-	if err := s.ProcessReader(trace.NewReader(strings.NewReader(src))); err != nil {
+	if err := s.ProcessSource(trace.NewSource(trace.NewReader(strings.NewReader(src)), 0)); err != nil {
 		t.Fatal(err)
 	}
 	if s.Records() != 2 {
@@ -190,9 +193,13 @@ L 000601040 4 main GV g
 
 func TestProcessReaderPropagatesError(t *testing.T) {
 	s := sim(t, Options{L1: cache.Paper32KDirect()})
-	err := s.ProcessReader(trace.NewReader(strings.NewReader("START PID 1\ngarbage zz yy\n")))
-	if err == nil {
-		t.Error("malformed trace accepted")
+	rd := trace.NewReader(strings.NewReader("START PID 1\nS 000601040 4 main GV g\ngarbage zz yy\n"))
+	err := s.ProcessSource(trace.NewSource(rd, 0))
+	if err == nil || !strings.Contains(err.Error(), "line 3") {
+		t.Errorf("err = %v, want the malformed line 3 reported", err)
+	}
+	if s.Records() != 1 {
+		t.Errorf("records = %d, want the 1 record before the bad line", s.Records())
 	}
 }
 

@@ -290,20 +290,6 @@ func (m *MultiSim) Process(recs []trace.Record) {
 	}
 }
 
-// ProcessReader streams records from a trace reader until EOF.
-func (m *MultiSim) ProcessReader(rd *trace.Reader) error {
-	for {
-		rec, err := rd.Read()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		m.Feed(&rec)
-	}
-}
-
 // ProcessSourceCtx is ProcessSource wrapped in a "dinero.multisim" span:
 // when ctx carries a trace the span joins its tree, tagged with the fed
 // record and configuration counts.

@@ -15,8 +15,8 @@
 // record in the same block (starting from zero), so blocks decode
 // independently: each carries its own string table (function names and
 // canonical variable access expressions) and a CRC32 (IEEE) over its
-// payload. That framing is what makes parallel decode and lenient
-// block-skip recovery possible.
+// payload. That framing is what makes sharded decode (IndexedTrace) and
+// lenient block-skip recovery possible.
 package trace
 
 import (
@@ -26,13 +26,14 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"tracedst/internal/ctype"
 )
 
 // DefaultBlockRecords is how many records a BinaryWriter packs per block by
 // default. Big enough to amortize the string table, small enough that a
-// damaged block loses little and parallel decode has work to hand out.
+// damaged block loses little and sharded decode has blocks to divide.
 const DefaultBlockRecords = 4096
 
 // maxBlockPayload caps a block's declared payload size so a corrupt length
@@ -472,27 +473,29 @@ func blockErr(block int, err error) error {
 	return fmt.Errorf("trace: block %d: %w", block, err)
 }
 
-// loadBlock reads and decodes the next block into rd.recs. io.EOF means a
-// clean end of stream.
-func (rd *BinaryReader) loadBlock() error {
+// loadBlock reads the next block that holds records and decodes it onto
+// the end of dst, returning the extended slice. On error dst comes back as
+// it was: a damaged block's partly decoded records stay in dst's spare
+// capacity, never in its length. io.EOF means a clean end of stream.
+func (rd *BinaryReader) loadBlock(dst []Record) ([]Record, error) {
 	for {
 		payloadLen, err := binary.ReadUvarint(rd.br)
 		if err == io.EOF {
-			return io.EOF
+			return dst, io.EOF
 		}
 		if err != nil {
-			return fmt.Errorf("trace: block %d: bad frame: %w", rd.block+1, err)
+			return dst, fmt.Errorf("trace: block %d: bad frame: %w", rd.block+1, err)
 		}
 		rd.block++
 		if err := checkPayloadLen(payloadLen); err != nil {
-			return blockErr(rd.block, err)
+			return dst, blockErr(rd.block, err)
 		}
 		recCount, err := binary.ReadUvarint(rd.br)
 		if err != nil {
-			return fmt.Errorf("trace: block %d: bad frame: %w", rd.block, err)
+			return dst, fmt.Errorf("trace: block %d: bad frame: %w", rd.block, err)
 		}
 		if err := checkRecCount(recCount, payloadLen); err != nil {
-			return blockErr(rd.block, err)
+			return dst, blockErr(rd.block, err)
 		}
 		var crcBuf [4]byte
 		if _, err := io.ReadFull(rd.br, crcBuf[:]); err != nil {
@@ -500,20 +503,16 @@ func (rd *BinaryReader) loadBlock() error {
 				// A record-free block torn off at the end of the stream
 				// (ReadFull only comes up short there): no records lost.
 				rd.noteAux(fmt.Errorf("trace: block %d: truncated record-free block: %w", rd.block, err))
-				return io.EOF
+				return dst, io.EOF
 			}
-			return fmt.Errorf("trace: block %d: bad frame: %w", rd.block, err)
+			return dst, fmt.Errorf("trace: block %d: bad frame: %w", rd.block, err)
 		}
-		if cap(rd.payload) < int(payloadLen) {
-			rd.payload = make([]byte, payloadLen)
-		}
-		rd.payload = rd.payload[:payloadLen]
-		if _, err := io.ReadFull(rd.br, rd.payload); err != nil {
+		if rd.payload, err = readPayload(rd.br, rd.payload, int(payloadLen)); err != nil {
 			if recCount == 0 && eofish(err) {
 				rd.noteAux(fmt.Errorf("trace: block %d: truncated record-free block: %w", rd.block, err))
-				return io.EOF
+				return dst, io.EOF
 			}
-			return fmt.Errorf("trace: block %d: truncated payload: %w", rd.block, err)
+			return dst, fmt.Errorf("trace: block %d: truncated payload: %w", rd.block, err)
 		}
 		// Framing is intact from here on, so damage is skippable: the next
 		// block starts right after the payload we already consumed.
@@ -527,34 +526,55 @@ func (rd *BinaryReader) loadBlock() error {
 			if ok, lerr := rd.badBlock(ErrBlockChecksum); ok {
 				continue
 			} else {
-				return lerr
+				return dst, lerr
 			}
 		}
 		if recCount == 0 {
 			// CRC-valid auxiliary payload; nothing to decode.
 			continue
 		}
-		if derr := rd.decodeBlock(rd.payload, int(recCount)); derr != nil {
+		recs, derr := rd.dec.decode(rd.payload, int(recCount), dst)
+		if derr != nil {
 			if ok, lerr := rd.badBlock(derr); ok {
 				continue
 			} else {
-				return lerr
+				return dst, lerr
 			}
 		}
-		return nil
+		return recs, nil
 	}
 }
 
-// decodeBlock decodes a CRC-valid payload into rd.recs.
-func (rd *BinaryReader) decodeBlock(p []byte, recCount int) error {
-	recs, err := rd.dec.decode(p, recCount, rd.recs[:0])
-	rd.recs = recs
+// readPayload reads an n-byte payload into buf like io.ReadFull, growing
+// buf at most 1 MiB ahead of the bytes that actually arrived, so a corrupt
+// length field in a short stream cannot force a payload-sized allocation.
+func readPayload(r io.Reader, buf []byte, n int) ([]byte, error) {
+	buf = buf[:0]
+	for len(buf) < n {
+		m := min(n-len(buf), 1<<20)
+		buf = slices.Grow(buf, m)
+		k, err := io.ReadFull(r, buf[len(buf):len(buf)+m])
+		if err == io.EOF && len(buf) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		buf = buf[:len(buf)+k]
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
+}
+
+// nextBlock decodes the next block into the reused block buffer rd.recs.
+func (rd *BinaryReader) nextBlock() error {
+	var err error
+	rd.recs, err = rd.loadBlock(rd.recs[:0])
 	rd.next = 0
 	return err
 }
 
-// blockDecoder decodes block payloads. It is the per-goroutine state of the
-// parallel decoder and the block-decoding half of BinaryReader.
+// blockDecoder decodes block payloads: the block-decoding half of
+// BinaryReader and of IndexedTrace sources.
 type blockDecoder struct {
 	intern *Interner
 	strs   []blockString
@@ -687,7 +707,7 @@ func (rd *BinaryReader) Read() (Record, error) {
 		return Record{}, err
 	}
 	for rd.next >= len(rd.recs) {
-		if err := rd.loadBlock(); err != nil {
+		if err := rd.nextBlock(); err != nil {
 			rd.err = err
 			return Record{}, err
 		}
@@ -710,7 +730,7 @@ func (rd *BinaryReader) NextBlock() ([]Record, error) {
 		return nil, err
 	}
 	for rd.next >= len(rd.recs) {
-		if err := rd.loadBlock(); err != nil {
+		if err := rd.nextBlock(); err != nil {
 			rd.err = err
 			return nil, err
 		}
@@ -733,7 +753,7 @@ func (rd *BinaryReader) ReadBatch(dst []Record) (int, error) {
 	n := 0
 	for n < len(dst) {
 		if rd.next >= len(rd.recs) {
-			err := rd.loadBlock()
+			err := rd.nextBlock()
 			if err == io.EOF {
 				if n > 0 {
 					return n, nil
@@ -754,31 +774,21 @@ func (rd *BinaryReader) ReadBatch(dst []Record) (int, error) {
 }
 
 // ReadAll reads the remaining records into a slice.
-func (rd *BinaryReader) ReadAll() ([]Record, error) {
-	var recs []Record
-	for {
-		if rd.next < len(rd.recs) {
-			recs = append(recs, rd.recs[rd.next:]...)
-			rd.next = len(rd.recs)
-		}
-		if rd.err != nil {
-			if rd.err == io.EOF {
-				return recs, nil
-			}
-			return recs, rd.err
-		}
-		if err := rd.ensurePre(); err != nil {
-			if err == io.EOF {
-				return recs, nil
-			}
-			return recs, err
-		}
-		if err := rd.loadBlock(); err != nil {
-			rd.err = err
-			if err == io.EOF {
-				return recs, nil
-			}
-			return recs, err
-		}
+func (rd *BinaryReader) ReadAll() ([]Record, error) { return rd.appendAll(nil) }
+
+// appendAll appends the remaining records to recs, decoding each block
+// straight into recs' spare capacity rather than through the block buffer.
+func (rd *BinaryReader) appendAll(recs []Record) ([]Record, error) {
+	recs = append(recs, rd.recs[rd.next:]...)
+	rd.next = len(rd.recs)
+	if rd.err == nil {
+		rd.err = rd.ensurePre()
 	}
+	for rd.err == nil {
+		recs, rd.err = rd.loadBlock(recs)
+	}
+	if rd.err == io.EOF {
+		return recs, nil
+	}
+	return recs, rd.err
 }

@@ -2,15 +2,17 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
 
 // encodeBinary renders header+records to the binary format with the given
 // block size (0 = default).
-func encodeBinary(t *testing.T, h *Header, recs []Record, blockRecs int) []byte {
+func encodeBinary(t testing.TB, h *Header, recs []Record, blockRecs int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	bw := NewBinaryWriter(&buf)
@@ -271,5 +273,26 @@ func TestNewWriterFormat(t *testing.T) {
 		if got := DetectFormat(buf.Bytes()); got != want {
 			t.Fatalf("format %v wrote %v", f, got)
 		}
+	}
+}
+
+// TestBinaryReaderCorruptLengthAlloc: a frame whose length field claims far
+// more payload than the stream holds fails as truncated without first
+// allocating the claimed size.
+func TestBinaryReaderCorruptLengthAlloc(t *testing.T) {
+	data := append([]byte(nil), binaryMagic[:]...)
+	data = append(data, 1, 2) // flags (header present), pid 1
+	data = binary.AppendUvarint(data, 1<<29)
+	data = binary.AppendUvarint(data, 1)
+	data = append(data, 0, 0, 0, 0, 1, 2, 3)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewBinaryReader(bytes.NewReader(data)).ReadAll()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), "truncated payload") {
+		t.Fatalf("err = %v, want a truncated payload", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
+		t.Fatalf("allocated %d bytes for a %d-byte input", got, len(data))
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // encodeIndexed renders header+records to the binary format with the
 // block-index footer enabled.
-func encodeIndexed(t *testing.T, h *Header, recs []Record, blockRecs int) []byte {
+func encodeIndexed(t testing.TB, h *Header, recs []Record, blockRecs int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	bw := NewBinaryWriter(&buf)
@@ -35,7 +35,7 @@ func encodeIndexed(t *testing.T, h *Header, recs []Record, blockRecs int) []byte
 }
 
 // TestFooterBackwardCompatible: a footer-bearing trace decodes to the same
-// records through the pre-footer serial reader and the parallel decoder —
+// records through the pre-footer serial reader and DecodeBytes —
 // the footer rides as a record-free block old readers skip.
 func TestFooterBackwardCompatible(t *testing.T) {
 	h, recs := sampleRecords(t)
@@ -63,12 +63,12 @@ func TestFooterBackwardCompatible(t *testing.T) {
 			}
 		}
 
-		_, _, pgot, err := DecodeBytes(indexed, DecodeOptions{}, 4)
+		_, _, pgot, err := DecodeBytes(indexed, DecodeOptions{}, 1)
 		if err != nil {
-			t.Fatalf("block=%d: parallel decode of indexed trace: %v", blockRecs, err)
+			t.Fatalf("block=%d: DecodeBytes of indexed trace: %v", blockRecs, err)
 		}
 		if len(pgot) != len(recs) {
-			t.Fatalf("block=%d: parallel got %d records, want %d", blockRecs, len(pgot), len(recs))
+			t.Fatalf("block=%d: DecodeBytes got %d records, want %d", blockRecs, len(pgot), len(recs))
 		}
 	}
 }
@@ -264,13 +264,13 @@ func TestSerialReaderAuxDamage(t *testing.T) {
 				t.Fatalf("BadLines = %d, want 0 (aux damage is out of band)", rd.BadLines())
 			}
 
-			// Parallel decode keeps the same no-error semantics.
-			_, _, pgot, err := DecodeBytes(data, DecodeOptions{}, 4)
+			// Whole-trace decode keeps the same no-error semantics.
+			_, _, pgot, err := DecodeBytes(data, DecodeOptions{}, 1)
 			if err != nil {
-				t.Fatalf("parallel decode with damaged footer: %v", err)
+				t.Fatalf("DecodeBytes with damaged footer: %v", err)
 			}
 			if len(pgot) != len(recs) {
-				t.Fatalf("parallel got %d records, want %d", len(pgot), len(recs))
+				t.Fatalf("DecodeBytes got %d records, want %d", len(pgot), len(recs))
 			}
 		})
 	}

@@ -7,6 +7,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"io"
 )
 
@@ -115,6 +116,54 @@ func OpenReader(r io.Reader, opts DecodeOptions) (RecordReader, FileFormat, erro
 		return NewBinaryReaderOptions(br, opts), FormatBinary, nil
 	}
 	return NewReaderOptions(br, opts), FormatText, nil
+}
+
+// DecodeBytes decodes a whole in-memory trace with the serial reader for
+// its sniffed format and returns the header, whether the input carried
+// one, and the records. The result slice is sized once, up front, from
+// data itself, and each record is decoded straight into it. On error the
+// records are the prefix the reader decoded before failing, lenient skips
+// applied, exactly as from OpenReader followed by ReadAll. workers is
+// ignored: decoding is serial.
+func DecodeBytes(data []byte, opts DecodeOptions, workers int) (Header, bool, []Record, error) {
+	var rd interface {
+		RecordReader
+		appendAll(recs []Record) ([]Record, error)
+	}
+	var n int
+	if DetectFormat(data) == FormatBinary {
+		rd, n = NewBinaryReaderOptions(bytes.NewReader(data), opts), binaryRecordCount(data)
+	} else {
+		rd, n = NewReaderOptions(bytes.NewReader(data), opts), textRecordCount(data)
+	}
+	h, err := rd.Header()
+	if err != nil {
+		return h, rd.HasHeader(), nil, err
+	}
+	recs, err := rd.appendAll(make([]Record, 0, n))
+	return h, rd.HasHeader(), recs, err
+}
+
+// textRecordCount bounds how many records a text trace holds: one per
+// line, and at most one per 8 bytes (the shortest record, "L 0 0 f", plus
+// its newline), so blank lines cannot inflate the allocation.
+func textRecordCount(data []byte) int {
+	return min(bytes.Count(data, []byte{'\n'})+1, len(data)/8+1)
+}
+
+// binaryRecordCount sums the record counts of a binary trace's intact
+// frames, each capped at what its payload can hold (a record takes at
+// least 4 bytes), so a corrupt count cannot inflate the allocation.
+func binaryRecordCount(data []byte) int {
+	_, _, p, err := parseBinaryPreamble(data)
+	n := 0
+	for err == nil && len(p) > 0 {
+		var f frame
+		if f, p, err = parseFrame(p); err == nil {
+			n += min(f.recCount, len(f.payload)/4)
+		}
+	}
+	return n
 }
 
 // NewWriterFormat returns an encoder for the requested format

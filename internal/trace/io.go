@@ -282,8 +282,11 @@ func (rd *Reader) ReadBatch(dst []Record) (int, error) {
 }
 
 // ReadAll reads the remaining records into a slice.
-func (rd *Reader) ReadAll() ([]Record, error) {
-	var recs []Record
+func (rd *Reader) ReadAll() ([]Record, error) { return rd.appendAll(nil) }
+
+// appendAll appends the remaining records to recs, parsing each one in
+// place in recs' spare capacity.
+func (rd *Reader) appendAll(recs []Record) ([]Record, error) {
 	for {
 		recs = append(recs, Record{})
 		err := rd.readInto(&recs[len(recs)-1])

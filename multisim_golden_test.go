@@ -64,9 +64,9 @@ func encodeTrace(t *testing.T, recs []trace.Record, format trace.FileFormat) []b
 }
 
 // TestMultiSimGoldenAllWorkloads is the exact-mode acceptance matrix:
-// all 15 workloads × {text, binary} container × {serial, parallel}
-// decode, every config's MultiSim report byte-identical to an
-// independent single-config Simulator run over the same records.
+// all 15 workloads × {text, binary} container, decoded whole, every
+// config's MultiSim report byte-identical to an independent single-config
+// Simulator run over the same records.
 func TestMultiSimGoldenAllWorkloads(t *testing.T) {
 	formats := []struct {
 		name string
@@ -86,26 +86,22 @@ func TestMultiSimGoldenAllWorkloads(t *testing.T) {
 		}
 
 		for _, fm := range formats {
-			data := encodeTrace(t, recs, fm.f)
-			for _, workers := range []int{1, 4} {
-				_, _, got, err := trace.DecodeBytes(data, trace.DecodeOptions{}, workers)
-				if err != nil {
-					t.Fatalf("%s/%s/workers=%d: %v", name, fm.name, workers, err)
-				}
-				if len(got) != len(recs) {
-					t.Fatalf("%s/%s/workers=%d: %d records decoded, want %d",
-						name, fm.name, workers, len(got), len(recs))
-				}
-				ms, err := dinero.NewMulti(dinero.MultiOptions{Configs: goldenConfigs})
-				if err != nil {
-					t.Fatal(err)
-				}
-				ms.Process(got)
-				for i, cfg := range goldenConfigs {
-					if rep := ms.Report(i); rep != want[i] {
-						t.Errorf("%s/%s/workers=%d config %s: multi-config report diverges from serial run:\n--- want ---\n%s\n--- got ---\n%s",
-							name, fm.name, workers, cfg.Name, want[i], rep)
-					}
+			_, _, got, err := trace.DecodeBytes(encodeTrace(t, recs, fm.f), trace.DecodeOptions{}, 1)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, fm.name, err)
+			}
+			if len(got) != len(recs) {
+				t.Fatalf("%s/%s: %d records decoded, want %d", name, fm.name, len(got), len(recs))
+			}
+			ms, err := dinero.NewMulti(dinero.MultiOptions{Configs: goldenConfigs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ms.Process(got)
+			for i, cfg := range goldenConfigs {
+				if rep := ms.Report(i); rep != want[i] {
+					t.Errorf("%s/%s config %s: multi-config report diverges from serial run:\n--- want ---\n%s\n--- got ---\n%s",
+						name, fm.name, cfg.Name, want[i], rep)
 				}
 			}
 		}
